@@ -64,9 +64,11 @@ fn phase1_profiled(
     // best state seen) so the two drivers reach identical modularity.
     const PATIENCE: usize = 8;
     // No pruning: the all-active mask never changes, and the decide output
-    // is recycled across supersteps like louvain.rs's Phase1Scratch.
+    // and the fold's aggregators are recycled across supersteps like
+    // louvain.rs's Phase1Scratch.
     let active = vec![true; graph.num_vertices()];
     let mut out = crate::kernels::DecideOutput::default();
+    let mut aggs = Vec::new();
     // Live observation: bounded-frequency snapshots to the flight recorder
     // (this baseline has no pruning, so every vertex is always active).
     let mut progress = ProgressReporter::new("grappolo");
@@ -80,7 +82,7 @@ fn phase1_profiled(
         sub.scope("decide", |p| {
             let started = Instant::now();
             p.scope("cpu", |p| {
-                cpu::decide_into(graph, &state, &active, &mut out);
+                cpu::decide_into(graph, &state, &active, &mut aggs, &mut out);
                 p.count("items", graph.num_vertices() as u64);
             });
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);

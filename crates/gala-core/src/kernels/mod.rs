@@ -5,7 +5,9 @@
 //! there, and the best target under Grappolo's deterministic tie-breaking.
 //! They differ in *where the intermediate state lives*:
 //!
-//! * [`cpu`] — host reference: per-vertex `HashMap`, rayon over vertices.
+//! * [`cpu`] — host reference, rayon over vertices: a stack-buffer scan
+//!   below [`SHUFFLE_DEGREE_THRESHOLD`], a reusable dense scatter array at
+//!   or above it (the CPU analogue of the shuffle/hash split).
 //! * [`shuffle`] — paper Algorithm 2: a warp per vertex, state in lane
 //!   registers, aggregation via `__match_any_sync` + grouped reduce.
 //! * [`hash`] — paper Algorithm 3: a block per vertex, state in a
@@ -40,7 +42,8 @@ use hashtable::{HashConfig, TableStats};
 /// Which DecideAndMove kernel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Host reference implementation (per-vertex hash map on rayon).
+    /// Host reference implementation (stack-buffer / dense-scatter fold on
+    /// rayon; see [`cpu`]).
     Cpu,
     /// Warp-level shuffle-based kernel (Algorithm 2).
     Shuffle,
@@ -112,6 +115,9 @@ pub struct DecideScratch {
     large: Vec<bool>,
     /// Workload-aware secondary output (the hash half).
     sub: DecideOutput,
+    /// Aggregators of the cpu fold, one per chunk of the widest pass seen:
+    /// each pass borrows them and hands them back (see [`cpu::decide_into`]).
+    aggs: Vec<cpu::Aggregator>,
 }
 
 /// Runs the selected kernel over all `active` vertices.
@@ -156,11 +162,15 @@ pub fn decide_profiled_into(
         small,
         large,
         sub,
+        aggs,
     } = scratch;
     match kind {
         KernelKind::Cpu => {
-            cpu::decide_into(graph, state, active, out);
-            out.routing.other_vertices = active.iter().filter(|&&a| a).count() as u64;
+            let (below, above) = cpu::decide_into(graph, state, active, aggs, out);
+            out.routing = RoutingStats {
+                other_vertices: below + above,
+                ..RoutingStats::default()
+            };
             record_kernel(prof, "cpu", active, out);
         }
         KernelKind::Shuffle => {
@@ -285,11 +295,21 @@ pub fn choose(
     state: &BspState,
     candidates: &[(CommunityId, f64)],
 ) -> CommunityId {
+    choose_from(v, graph, state, candidates.iter().copied())
+}
+
+/// [`choose`] over candidates from any iterator, in the order given.
+pub(crate) fn choose_from(
+    v: VertexId,
+    graph: &Graph,
+    state: &BspState,
+    candidates: impl IntoIterator<Item = (CommunityId, f64)>,
+) -> CommunityId {
     let cv = state.comm[v as usize];
     let d_v = graph.degree_w(v);
     let mut stay_d_vc = 0.0;
     let mut best: Option<(f64, CommunityId)> = None;
-    for &(c, d_vc) in candidates {
+    for (c, d_vc) in candidates {
         if c == cv {
             stay_d_vc = d_vc;
             continue;

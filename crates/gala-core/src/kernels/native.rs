@@ -8,15 +8,20 @@
 //! an accident:
 //!
 //! * [`cpu::decide_one`] folds each community's `d_vc` in neighbor-list
-//!   order. The hash kernel's `VertexTable` upserts in neighbor order and
-//!   drains in insertion order — the same left fold, for any edge weights.
-//!   The shuffle kernel's grouped reduce sums each 32-lane chunk in
-//!   ascending lane order, so *single-chunk* vertices (degree below
-//!   [`SHUFFLE_DEGREE_THRESHOLD`]) are that fold too — and the
-//!   workload-aware dispatcher routes exactly those to the shuffle kernel.
-//!   Hence `Cpu`, `Hash`, and `WorkloadAware` all reduce to
-//!   [`cpu::decide_one`] bit-for-bit, and the native path runs that lean
-//!   per-vertex fold on rayon with nothing else in the loop.
+//!   order and lists candidates in first-seen order, whichever of its two
+//!   aggregators a vertex takes: the stack-buffer scan below
+//!   [`super::SHUFFLE_DEGREE_THRESHOLD`] and the dense `slot` scatter at or
+//!   above it differ only in how they find a community's entry, never in
+//!   the order entries are created or summed. The hash kernel's
+//!   `VertexTable` upserts in neighbor order and drains in insertion
+//!   order — the same left fold, for any edge weights. The shuffle
+//!   kernel's grouped reduce sums each 32-lane chunk in ascending lane
+//!   order, so *single-chunk* vertices (degree below the threshold) are
+//!   that fold too — and the workload-aware dispatcher routes exactly
+//!   those to the shuffle kernel. Hence `Cpu`, `Hash`, and `WorkloadAware`
+//!   all reduce to [`cpu::decide_one`] bit-for-bit, and the native path
+//!   runs that fold on rayon with nothing else in the loop; the fold's own
+//!   threshold split yields the routing counts.
 //! * Explicit `Shuffle` on multi-chunk vertices merges per-chunk partial
 //!   sums, `Sort` accumulates in sorted order (after an unstable bitonic
 //!   sort), and `Replicated` merges by tree reduction — different
@@ -30,7 +35,6 @@
 
 use super::{
     cpu, replicated, shuffle, sort, DecideOutput, DecideScratch, KernelKind, RoutingStats,
-    SHUFFLE_DEGREE_THRESHOLD,
 };
 use crate::state::BspState;
 use gala_gpu::memory::MemTally;
@@ -56,8 +60,8 @@ pub(crate) fn decide_into(
     let started = Instant::now();
     let routing = match kind {
         KernelKind::Cpu | KernelKind::Hash(_) | KernelKind::WorkloadAware(_) => {
-            cpu::decide_into(graph, state, active, out);
-            route_lean(kind, graph, active)
+            let (below, above) = cpu::decide_into(graph, state, active, &mut scratch.aggs, out);
+            route_lean(kind, below, above)
         }
         KernelKind::Shuffle => RoutingStats {
             shuffle_vertices: run_sim_kernel(
@@ -105,30 +109,27 @@ pub(crate) fn decide_into(
     }
 }
 
-/// Routing counts for the lean (cpu-fold) path, matching the simulator's
-/// semantics per kernel kind: the workload-aware dispatcher reports its
-/// degree-threshold split even though both halves run the same fold here.
-fn route_lean(kind: KernelKind, graph: &Graph, active: &[bool]) -> RoutingStats {
-    let mut routing = RoutingStats::default();
-    let num_active = active.iter().filter(|&&a| a).count() as u64;
+/// Routing counts for the lean (cpu-fold) path from the fold's `(below,
+/// above)` threshold split, matching the simulator's semantics per kernel
+/// kind: the workload-aware dispatcher reports its degree-threshold split
+/// even though both halves run the same fold here.
+fn route_lean(kind: KernelKind, below: u64, above: u64) -> RoutingStats {
     match kind {
-        KernelKind::Cpu => routing.other_vertices = num_active,
-        KernelKind::Hash(_) => routing.hash_vertices = num_active,
-        KernelKind::WorkloadAware(_) => {
-            for (v, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    continue;
-                }
-                if graph.degree(v as VertexId) < SHUFFLE_DEGREE_THRESHOLD {
-                    routing.shuffle_vertices += 1;
-                } else {
-                    routing.hash_vertices += 1;
-                }
-            }
-        }
+        KernelKind::Cpu => RoutingStats {
+            other_vertices: below + above,
+            ..RoutingStats::default()
+        },
+        KernelKind::Hash(_) => RoutingStats {
+            hash_vertices: below + above,
+            ..RoutingStats::default()
+        },
+        KernelKind::WorkloadAware(_) => RoutingStats {
+            shuffle_vertices: below,
+            hash_vertices: above,
+            other_vertices: 0,
+        },
         _ => unreachable!("lean routing is only for cpu/hash/workload-aware"),
     }
-    routing
 }
 
 /// Runs a simulated per-vertex decision function over the active set on

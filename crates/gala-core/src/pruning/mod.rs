@@ -154,7 +154,9 @@ impl AuditResult {
 /// them loses nothing.
 ///
 /// This is pure host-side verification: it touches no simulated-memory
-/// tally, so instrumented runs keep bit-identical cycle totals.
+/// tally, so instrumented runs keep bit-identical cycle totals. One
+/// aggregator serves every sample, so auditing allocates at most one
+/// dense scatter array.
 pub fn audit_pruned(
     graph: &Graph,
     state: &BspState,
@@ -170,6 +172,7 @@ pub fn audit_pruned(
         return result;
     }
     let stride = pruned_total.div_ceil(max_samples);
+    let mut agg = cpu::Aggregator::default();
     let mut idx = 0usize;
     for (v, &is_active) in active.iter().enumerate() {
         if is_active {
@@ -179,7 +182,7 @@ pub fn audit_pruned(
             result.sampled += 1;
             let v = v as VertexId;
             let cv = state.comm[v as usize];
-            let target = cpu::decide_one(v, graph, state);
+            let target = agg.decide(v, graph, state);
             if target != cv && strictly_improves(v, graph, state, target) {
                 result.false_negatives += 1;
             }

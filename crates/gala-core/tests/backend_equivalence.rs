@@ -4,15 +4,22 @@
 //! graph, and every pool width — and a kernel fault through the shared
 //! pool must not wedge the native launch path.
 //!
+//! Two graph families: planted partitions (unit weights, every degree
+//! below the shuffle threshold on the input level) and reweighted R-MAT
+//! graphs whose hubs reach the threshold on real-valued weights, so the
+//! native fold's dense-scatter half meets the simulator's hash table.
+//!
 //! This is the library-level twin of CI's `backend-equivalence` job,
 //! which checks the same invariant end to end through the CLI.
 
 use gala_core::backend::BackendKind;
 use gala_core::kernels::hashtable::HashConfig;
 use gala_core::kernels::KernelKind;
+use gala_core::kernels::SHUFFLE_DEGREE_THRESHOLD;
 use gala_core::louvain::{Louvain, LouvainConfig};
+use gala_graph::generators::rmat::{rmat, RmatParams};
 use gala_graph::generators::sbm::PlantedPartition;
-use gala_graph::Graph;
+use gala_graph::{Graph, GraphBuilder};
 use proptest::prelude::*;
 use rayon::with_parallelism;
 
@@ -39,6 +46,55 @@ fn run(graph: &Graph, kernel: KernelKind, backend: BackendKind) -> (Vec<u32>, u6
     (r.partition.assignment().to_vec(), r.modularity.to_bits())
 }
 
+/// Asserts `run` agrees with the sim reference for both backends at every
+/// width in [`WIDTHS`].
+fn check_all_widths(graph: &Graph, kernel: KernelKind) {
+    let reference = run(graph, kernel, BackendKind::Sim);
+    for width in WIDTHS {
+        for backend in [BackendKind::Sim, BackendKind::Native] {
+            let got = with_parallelism(width, || run(graph, kernel, backend));
+            assert_eq!(
+                &got.0, &reference.0,
+                "{:?}/{} diverged on assignments at width {}",
+                kernel, backend, width
+            );
+            assert_eq!(
+                got.1, reference.1,
+                "{:?}/{} diverged on modularity at width {}",
+                kernel, backend, width
+            );
+        }
+    }
+}
+
+/// An R-MAT graph rebuilt with non-integer weights (each merged edge's
+/// multiplicity scaled by a per-edge factor in `[0.25, 2.6]`) and a
+/// fractional self-loop on every fifth vertex.
+fn weighted_rmat(scale: u32, edge_factor: f64, seed: u64) -> Graph {
+    let skeleton = rmat(
+        &RmatParams {
+            scale,
+            edge_factor,
+            ..RmatParams::default()
+        },
+        seed,
+    );
+    let n = skeleton.num_vertices();
+    let mut b = GraphBuilder::new(n);
+    for u in 0..n as u32 {
+        for (v, w) in skeleton.neighbors(u) {
+            if u < v {
+                let mix = (u64::from(u) * 31 + u64::from(v) * 17 + seed % 89) % 97;
+                b.add_edge(u, v, w * (0.25 + mix as f64 / 41.0));
+            }
+        }
+        if u % 5 == 0 {
+            b.add_edge(u, u, 0.3 + f64::from(u % 7) / 9.0);
+        }
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -62,23 +118,27 @@ proptest! {
         }
         .generate(seed)
         .graph;
-        let kernel = kinds()[kernel_idx];
-        let reference = run(&graph, kernel, BackendKind::Sim);
-        for width in WIDTHS {
-            for backend in [BackendKind::Sim, BackendKind::Native] {
-                let got = with_parallelism(width, || run(&graph, kernel, backend));
-                prop_assert_eq!(
-                    &got.0, &reference.0,
-                    "{:?}/{} diverged on assignments at width {}",
-                    kernel, backend, width
-                );
-                prop_assert_eq!(
-                    got.1, reference.1,
-                    "{:?}/{} diverged on modularity at width {}",
-                    kernel, backend, width
-                );
-            }
-        }
+        check_all_widths(&graph, kinds()[kernel_idx]);
+    }
+
+    /// The same agreement on hub-bearing graphs with real-valued weights:
+    /// every case has vertices at or above the shuffle threshold, and
+    /// scales 10 and 11 cross the pool's parallel threshold (1024 items),
+    /// so widths 2 and 8 split the fold into chunks.
+    #[test]
+    fn native_matches_sim_on_weighted_hubs(
+        scale in 8u32..12,
+        edge_factor in 4.0f64..10.0,
+        seed in any::<u64>(),
+        kernel_idx in 0usize..6,
+    ) {
+        let graph = weighted_rmat(scale, edge_factor, seed);
+        let max_degree = (0..graph.num_vertices() as u32)
+            .map(|v| graph.degree(v))
+            .max()
+            .unwrap_or(0);
+        prop_assert!(max_degree >= SHUFFLE_DEGREE_THRESHOLD, "no hub: max degree {}", max_degree);
+        check_all_widths(&graph, kinds()[kernel_idx]);
     }
 }
 

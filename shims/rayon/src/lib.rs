@@ -188,9 +188,8 @@ impl<S: Source> ParIter<S> {
         F: Fn(S::Item) -> U + Sync,
     {
         let src = self.source;
-        let nested = pool::par_collect_indexed(src.len(), &|i| {
-            f(src.get(i)).into_iter().collect::<Vec<_>>()
-        });
+        let nested =
+            pool::par_collect_indexed(src.len(), |i| f(src.get(i)).into_iter().collect::<Vec<_>>());
         ParVec {
             items: nested.into_iter().flatten().collect(),
         }
@@ -203,7 +202,7 @@ impl<S: Source> ParIter<S> {
         F: Fn(&S::Item) -> bool + Sync,
     {
         let src = self.source;
-        let items = pool::par_collect_indexed(src.len(), &|i| src.get(i));
+        let items = pool::par_collect_indexed(src.len(), |i| src.get(i));
         ParVec {
             items: items.into_iter().filter(|x| pred(x)).collect(),
         }
@@ -257,7 +256,7 @@ impl<S: Source> ParIter<S> {
         F: Fn(S::Item, S::Item) -> S::Item + Sync,
     {
         let src = self.source;
-        let items = pool::par_collect_indexed(src.len(), &|i| src.get(i));
+        let items = pool::par_collect_indexed(src.len(), |i| src.get(i));
         items.into_iter().fold(identity(), reduce_op)
     }
 
@@ -269,7 +268,7 @@ impl<S: Source> ParIter<S> {
         Y: Sum<S::Item>,
     {
         let src = self.source;
-        let items = pool::par_collect_indexed(src.len(), &|i| src.get(i));
+        let items = pool::par_collect_indexed(src.len(), |i| src.get(i));
         items.into_iter().sum()
     }
 
@@ -280,7 +279,7 @@ impl<S: Source> ParIter<S> {
         C: FromIterator<S::Item>,
     {
         let src = self.source;
-        let items = pool::par_collect_indexed(src.len(), &|i| src.get(i));
+        let items = pool::par_collect_indexed(src.len(), |i| src.get(i));
         C::from_iter(items)
     }
 
@@ -288,7 +287,7 @@ impl<S: Source> ParIter<S> {
     /// scratch-buffer counterpart of [`ParIter::collect`].
     pub fn collect_into_vec(self, out: &mut Vec<S::Item>) {
         let src = self.source;
-        pool::par_produce_accum(src.len(), out, &|| (), &|i, _| src.get(i));
+        pool::produce_accum_into(src.len(), out, || (), |i, _| src.get(i));
     }
 
     /// Runs `f` on every item in parallel.
@@ -418,19 +417,7 @@ where
     ID: Fn() -> A + Sync,
     F: Fn(&T, &mut A) -> R + Sync,
 {
-    // The sequential path stays statically dispatched: for the small-input
-    // and single-thread cases the per-item indirect call through the
-    // pool's `dyn Fn` interface would be the dominant cost.
-    if pool::run_sequential(items.len()) {
-        out.clear();
-        out.reserve(items.len());
-        let mut acc = identity();
-        for item in items {
-            out.push(f(item, &mut acc));
-        }
-        return vec![acc];
-    }
-    pool::par_produce_accum(items.len(), out, &identity, &|i, acc| f(&items[i], acc))
+    pool::produce_accum_into(items.len(), out, identity, |i, acc| f(&items[i], acc))
 }
 
 /// Index-driven variant of [`par_map_accum_into`]: fills `out` with
@@ -450,16 +437,7 @@ where
     ID: Fn() -> A + Sync,
     F: Fn(usize, &mut A) -> R + Sync,
 {
-    if pool::run_sequential(len) {
-        out.clear();
-        out.reserve(len);
-        let mut acc = identity();
-        for i in 0..len {
-            out.push(f(i, &mut acc));
-        }
-        return vec![acc];
-    }
-    pool::par_produce_accum(len, out, &identity, &f)
+    pool::produce_accum_into(len, out, identity, f)
 }
 
 /// Fills a two-array CSR body (`targets`/`weights`) row by row across the

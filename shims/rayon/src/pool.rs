@@ -332,11 +332,39 @@ pub(crate) fn run_sequential(len: usize) -> bool {
 }
 
 /// Clears `out` and refills it with `produce(i, acc)` for `i` in `0..len`,
-/// each result written **directly into its final slot** — no per-chunk
-/// buffers, no reallocation, no output copying. Each chunk threads a
-/// private accumulator (from `make_acc`) through its `produce` calls; the
-/// accumulators come back in chunk order (a single accumulator when the
-/// pipeline ran sequentially).
+/// in order. Each chunk threads a private accumulator (from `make_acc`)
+/// through its `produce` calls; the accumulators come back in chunk order
+/// (a single accumulator when the pipeline ran sequentially).
+///
+/// The sequential path is a plain loop over the caller's closures,
+/// statically dispatched: for small inputs and single-thread runs the
+/// per-item indirect call of [`par_produce_accum`]'s `dyn Fn` interface
+/// would be the dominant cost.
+pub(crate) fn produce_accum_into<R, A, M, P>(
+    len: usize,
+    out: &mut Vec<R>,
+    make_acc: M,
+    produce: P,
+) -> Vec<A>
+where
+    R: Send,
+    A: Send,
+    M: Fn() -> A + Sync,
+    P: Fn(usize, &mut A) -> R + Sync,
+{
+    if run_sequential(len) {
+        out.clear();
+        out.reserve(len);
+        let mut acc = make_acc();
+        out.extend((0..len).map(|i| produce(i, &mut acc)));
+        return vec![acc];
+    }
+    par_produce_accum(len, out, &make_acc, &produce)
+}
+
+/// The parallel half of [`produce_accum_into`]: every result is written
+/// **directly into its final slot** — no per-chunk buffers, no
+/// reallocation, no output copying.
 ///
 /// Safety: each worker takes exclusive ownership of its chunk's `&mut`
 /// sub-slice through a take-once slot, and `MaybeUninit::write` needs no
@@ -344,7 +372,7 @@ pub(crate) fn run_sequential(len: usize) -> bool {
 /// `execute` returns without panicking, i.e. after every slot in `0..len`
 /// was written. On a panic `out` stays empty (written slots leak, which is
 /// safe).
-pub(crate) fn par_produce_accum<R: Send, A: Send>(
+fn par_produce_accum<R: Send, A: Send>(
     len: usize,
     out: &mut Vec<R>,
     make_acc: &(dyn Fn() -> A + Sync),
@@ -355,13 +383,6 @@ pub(crate) fn par_produce_accum<R: Send, A: Send>(
     type FillSlot<'a, R> = Mutex<Option<(usize, &'a mut [MaybeUninit<R>])>>;
     out.clear();
     out.reserve(len);
-    if run_sequential(len) {
-        let mut acc = make_acc();
-        for i in 0..len {
-            out.push(produce(i, &mut acc));
-        }
-        return vec![acc];
-    }
     let chunk_len = chunk_len_for(len);
     let spare = &mut out.spare_capacity_mut()[..len];
     let slots: Vec<FillSlot<'_, R>> = spare
@@ -395,13 +416,13 @@ pub(crate) fn par_produce_accum<R: Send, A: Send>(
 }
 
 /// Collects `produce(i)` for `0..len` into a fresh `Vec` via
-/// [`par_produce_accum`].
+/// [`produce_accum_into`].
 pub(crate) fn par_collect_indexed<R: Send>(
     len: usize,
-    produce: &(dyn Fn(usize) -> R + Sync),
+    produce: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
     let mut out = Vec::new();
-    par_produce_accum(len, &mut out, &|| (), &|i, _| produce(i));
+    produce_accum_into(len, &mut out, || (), |i, _| produce(i));
     out
 }
 
@@ -508,14 +529,14 @@ mod tests {
 
     #[test]
     fn par_collect_indexed_matches_sequential() {
-        let out = with_parallelism(8, || par_collect_indexed(10_000, &|i| i * 3));
+        let out = with_parallelism(8, || par_collect_indexed(10_000, |i| i * 3));
         assert_eq!(out.len(), 10_000);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
     }
 
     #[test]
     fn par_collect_indexed_empty_and_tiny() {
-        assert_eq!(par_collect_indexed(0, &|i| i), Vec::<usize>::new());
-        assert_eq!(par_collect_indexed(1, &|i| i + 41), vec![41]);
+        assert_eq!(par_collect_indexed(0, |i| i), Vec::<usize>::new());
+        assert_eq!(par_collect_indexed(1, |i| i + 41), vec![41]);
     }
 }
