@@ -292,32 +292,24 @@ impl ExecutionBackend for NativeBackend {
 }
 
 /// Builds the schema-4 `profile` companion of a `span` event: the tree's
-/// spans flattened to per-path component charges in the backend's native
-/// unit. Sim trees charge simulated cycles from each span's `MemTally`
-/// through the default [`CostModel`] (summing exactly to `self_cycles`);
-/// native trees charge each span's measured `elapsed_ns` counter.
+/// spans flattened to per-path component charges in the unit of `charge`.
+/// Sim trees charge simulated cycles from each span's `MemTally` through
+/// the default [`CostModel`] (summing exactly to `self_cycles`); native
+/// trees, and host-only drivers' trees (`charge` = `None`, attributed to
+/// the `"host"` backend), charge each span's measured `elapsed_ns` counter.
 pub(crate) fn profile_event(
-    backend: BackendKind,
+    charge: Option<BackendKind>,
     round: u32,
     superstep: u32,
     phase: &str,
     root: &SpanRecord,
 ) -> TraceEvent {
-    match backend {
-        BackendKind::Sim => profile_event_from(root, "sim", "cycles", round, superstep, phase),
-        BackendKind::Native => profile_event_from(root, "native", "ns", round, superstep, phase),
-    }
-}
-
-/// [`profile_event`] for host-only drivers (sequential, grappolo): spans
-/// carry wall time, attributed to the `"host"` backend.
-pub(crate) fn profile_event_host(
-    round: u32,
-    superstep: u32,
-    phase: &str,
-    root: &SpanRecord,
-) -> TraceEvent {
-    profile_event_from(root, "host", "ns", round, superstep, phase)
+    let (backend, unit) = match charge {
+        Some(BackendKind::Sim) => ("sim", "cycles"),
+        Some(BackendKind::Native) => ("native", "ns"),
+        None => ("host", "ns"),
+    };
+    profile_event_from(root, backend, unit, round, superstep, phase)
 }
 
 fn profile_event_from(

@@ -8,13 +8,13 @@
 //! comparisons.
 
 use crate::kernels::cpu;
-use crate::progress::{Counts, ProgressReporter};
+use crate::louvain::LouvainConfig;
+use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::profile::Profiler;
-use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{NullSink, TraceEvent, TraceSink};
+use gala_telemetry::{NullSink, TraceSink};
 use std::time::Instant;
 
 /// Result of a Grappolo baseline run.
@@ -54,38 +54,23 @@ fn phase1_profiled(
     sink: &mut dyn TraceSink,
     prof: &mut Profiler,
 ) -> (BspState, usize) {
-    let instrumented = prof.is_enabled() || sink.enabled();
     let mut state = BspState::new(graph);
-    let mut best_q = state.modularity(graph);
-    let mut best_state = state.clone();
-    let mut stagnant = 0usize;
+    // The same dip-tolerant convergence as louvain.rs, with its default
+    // patience, so the two drivers reach identical modularity.
+    let patience = LouvainConfig::default().dip_patience;
+    let q = state.modularity(graph);
+    let mut tracker = Phase1Tracker::new("grappolo", round, &state, q, theta, patience);
     let mut iterations = 0;
-    // Same dip-tolerant convergence as louvain.rs (patience 8, restore the
-    // best state seen) so the two drivers reach identical modularity.
-    const PATIENCE: usize = 8;
     // No pruning: the all-active mask never changes, and the decide output
     // and the fold's aggregators are recycled across supersteps like
     // louvain.rs's Phase1Scratch.
     let active = vec![true; graph.num_vertices()];
     let mut out = crate::kernels::DecideOutput::default();
     let mut aggs = Vec::new();
-    // Live observation: bounded-frequency snapshots to the flight recorder
-    // (this baseline has no pruning, so every vertex is always active).
-    let mut progress = ProgressReporter::new("grappolo");
-    let mut arcs_done = 0u64;
     for iteration in 0..max_iterations {
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
-        sub.scope("decide", |p| {
-            let started = Instant::now();
-            p.scope("cpu", |p| {
-                cpu::decide_into(graph, &state, &active, &mut aggs, &mut out);
-                p.count("items", graph.num_vertices() as u64);
-            });
-            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
+        let mut sub = rounds::sub_profiler(sink, prof);
+        rounds::host_decide(&mut sub, graph.num_vertices(), || {
+            cpu::decide_into(graph, &state, &active, &mut aggs, &mut out)
         });
         let summary = sub.scope("apply", |p| {
             let summary = state.apply_moves(graph, &out.next_comm);
@@ -102,56 +87,17 @@ fn phase1_profiled(
             p.count("items", graph.num_vertices() as u64);
             state.modularity(graph)
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round,
-                    superstep: iteration as u32,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round,
-                    iteration as u32,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.scope("superstep", |p| p.absorb(tree));
-        }
-        arcs_done += graph.num_arcs() as u64;
-        progress.superstep(
-            round,
-            "phase1",
-            iteration as u32,
-            q,
-            Counts::from_counts(
-                graph.num_vertices(),
-                summary.num_moved(),
-                graph.num_vertices(),
-                arcs_done,
-            ),
-        );
-        // Progress measured against the best state (see louvain.rs).
-        if q > best_q {
-            best_state = state.clone();
-            if q > best_q + theta {
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            best_q = q;
-        } else {
-            stagnant += 1;
-        }
-        if summary.num_moved() == 0 || stagnant > PATIENCE {
+        let s = iteration as u32;
+        prof.scope("superstep", |p| {
+            rounds::emit_tree(sink, p, sub, None, round, s, "phase1")
+        });
+        // No pruning: every vertex is active in every superstep.
+        let n = graph.num_vertices();
+        if tracker.step(graph, &state, q, n, summary.num_moved()) {
             break;
         }
     }
-    if state.modularity(graph) < best_q {
-        state = best_state;
-    }
+    tracker.restore(&mut state, graph);
     (state, iterations)
 }
 
@@ -170,112 +116,47 @@ pub fn grappolo_instrumented(
     sink: &mut dyn TraceSink,
     prof: &mut Profiler,
 ) -> GrappoloResult {
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "grappolo".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: 1,
-        });
-    }
-    let instrumented = prof.is_enabled() || sink.enabled();
-    let mut current: Option<Graph> = None;
-    let mut flat: Option<Partition> = None;
-    let mut first_round_iterations = 0;
-    let mut rounds = 0u32;
-    let mut cscratch = CoarsenScratch::default();
-    let mut progress = ProgressReporter::new("grappolo");
-    for round in 0..20 {
-        let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
-        rounds += 1;
-        let (state, iters) = phase1_profiled(g, theta, 500, round as u32, sink, prof);
-        if round == 0 {
-            first_round_iterations = iters;
-        }
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
-        let coarse = sub.scope("contract", |p| {
-            let started = Instant::now();
-            let coarse = coarsen_into(g, &state.partition(), &mut cscratch);
-            p.count("vertices", g.num_vertices() as u64);
-            p.count("arcs", g.num_arcs() as u64);
-            p.count("communities", coarse.num_communities as u64);
-            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-            coarse
-        });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: iters as u32,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    iters as u32,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        prof.exit();
-        let stalled = coarse.num_communities == g.num_vertices();
-        flat = Some(match flat {
-            None => coarse.renumbered.clone(),
-            Some(prev) => prev.compose(&coarse.renumbered),
-        });
-        if sink.enabled() || progress.live() {
-            let q = crate::modularity::modularity(graph, flat.as_ref().expect("just set"));
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: iters as u32,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            progress.round(
-                sink,
-                round as u32,
-                "phase1",
-                iters as u32,
-                q,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: g.num_arcs() as u64,
-                },
-            );
-        }
-        if stalled {
-            break;
-        }
-        if let Some(old) = current.take() {
-            cscratch.reclaim_graph(old);
-        }
-        cscratch.reclaim_assignment(coarse.renumbered);
-        current = Some(coarse.graph);
-    }
-    let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
-    let modularity = crate::modularity::modularity(graph, &partition);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity,
-            rounds,
-            total_cycles: 0.0,
-        });
-    }
+    let spec = rounds::Spec {
+        algorithm: "grappolo",
+        devices: 1,
+        max_rounds: LouvainConfig::default().max_rounds,
+        theta,
+        charge: None,
+    };
+    let mut driver = GrappoloRounds {
+        theta,
+        first_round_iterations: None,
+    };
+    let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, sink, prof);
     GrappoloResult {
         partition,
         modularity,
-        first_round_iterations,
+        first_round_iterations: driver.first_round_iterations.unwrap_or(0),
+    }
+}
+
+/// Grappolo's rounds on the hierarchy engine.
+struct GrappoloRounds {
+    theta: f64,
+    first_round_iterations: Option<usize>,
+}
+
+impl Driver for GrappoloRounds {
+    fn phase1(
+        &mut self,
+        g: &Graph,
+        round: u32,
+        sink: &mut dyn TraceSink,
+        prof: &mut Profiler,
+    ) -> Phase1 {
+        let max_iterations = LouvainConfig::default().max_iterations;
+        let (state, iters) = phase1_profiled(g, self.theta, max_iterations, round, sink, prof);
+        self.first_round_iterations.get_or_insert(iters);
+        Phase1 {
+            communities: state.partition(),
+            supersteps: iters as u32,
+            q: None,
+        }
     }
 }
 
@@ -294,7 +175,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_emits_profiles() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = grappolo(&g, 1e-6);
         let mut sink = VecSink::default();

@@ -1,16 +1,13 @@
 //! The community dendrogram: the full multi-level structure Louvain
 //! phase 2 builds, with cut-at-any-level access.
 //!
-//! [`crate::louvain::LouvainResult`] exposes only the final flattened
+//! [`crate::louvain::LouvainResult`] exposes only the best flattened
 //! partition; [`Dendrogram`] keeps every level, which is what the "multi-
 //! phase approach [that] iteratively merges communities" (paper Section 1)
 //! is actually for: zooming between granularities without re-running.
 
 use crate::louvain::{Louvain, LouvainConfig};
-use crate::modularity::modularity_with_resolution;
-use crate::progress::{Counts, ProgressReporter};
 use gala_gpu::profile::Profiler;
-use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::{Graph, Partition};
 use gala_telemetry::NullSink;
 
@@ -27,58 +24,20 @@ pub struct Dendrogram {
 
 impl Dendrogram {
     /// Builds the dendrogram by running Louvain with `config`, recording
-    /// the flattened partition after every round.
+    /// the flattened partition after every round — the same rounds, with
+    /// the same refinement, seeds and stop rule, as [`Louvain::run`].
     pub fn build(graph: &Graph, config: LouvainConfig) -> Self {
-        let runner = Louvain::new(config);
-        let backend = config.backend.resolve();
         let mut levels = Vec::new();
         let mut modularities = Vec::new();
-        let mut current: Option<Graph> = None;
-        let mut flat: Option<Partition> = None;
-        let mut cscratch = CoarsenScratch::default();
-        // Live observation only: the dendrogram builder has no trace sink,
-        // so each completed level goes straight to the flight recorder.
-        let mut progress = ProgressReporter::new("hierarchy");
-        for round in 0..config.max_rounds {
-            let g = current.as_ref().unwrap_or(graph);
-            let (state, stats) = runner.run_phase1(g);
-            let moved_any = stats.iterations.iter().any(|i| i.num_moved > 0);
-            let coarse = backend.contract(
-                g,
-                &state.partition(),
-                config.kernel,
-                false,
-                &mut Profiler::disabled(),
-                &mut cscratch,
-            );
-            let level = match &flat {
-                None => coarse.renumbered.clone(),
-                Some(prev) => prev.compose(&coarse.renumbered),
-            };
-            modularities.push(modularity_with_resolution(graph, &level, config.resolution));
-            progress.round(
-                &mut NullSink,
-                round as u32,
-                "level",
-                stats.iterations.len() as u32,
-                *modularities.last().expect("just pushed"),
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse.graph.num_arcs() as u64,
-                },
-            );
-            levels.push(level.clone());
-            flat = Some(level);
-            if !moved_any || coarse.num_communities == g.num_vertices() {
-                break;
-            }
-            if let Some(old) = current.take() {
-                cscratch.reclaim_graph(old);
-            }
-            cscratch.reclaim_assignment(coarse.renumbered);
-            current = Some(coarse.graph);
-        }
+        Louvain::new(config).run_levels(
+            graph,
+            &mut NullSink,
+            &mut Profiler::disabled(),
+            &mut |level, q| {
+                levels.push(level.clone());
+                modularities.push(q);
+            },
+        );
         if levels.is_empty() {
             levels.push(Partition::singletons(graph.num_vertices()));
             modularities.push(0.0);
@@ -104,20 +63,23 @@ impl Dendrogram {
         self.modularities[level]
     }
 
-    /// The coarsest (final) partition — what `Louvain::run` returns.
+    /// The coarsest (last) partition. [`Louvain::run`] returns the
+    /// [best level](Self::best_level), which is not always the last.
     pub fn final_partition(&self) -> &Partition {
         self.levels.last().expect("dendrogram is never empty")
     }
 
-    /// The level with maximal modularity (usually the last, but a capped
-    /// `max_rounds` can leave an interior peak).
+    /// The level with maximal modularity, the finest one on ties: the
+    /// partition [`Louvain::run`] returns. Usually the last, but
+    /// refinement or a capped `max_rounds` can leave an interior peak.
     pub fn best_level(&self) -> usize {
-        self.modularities
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        (1..self.modularities.len()).fold(0, |best, i| {
+            if self.modularities[i] > self.modularities[best] {
+                i
+            } else {
+                best
+            }
+        })
     }
 
     /// The finest level with at most `k` communities, if any.
@@ -166,7 +128,8 @@ mod tests {
                 "level {i} lost modularity"
             );
         }
-        assert_eq!(d.best_level(), d.num_levels() - 1);
+        // The last level is as good as the best (ties go to the finer one).
+        assert_eq!(d.level(d.best_level()), d.final_partition());
     }
 
     #[test]
@@ -176,6 +139,53 @@ mod tests {
         let lvl = d.level_with_at_most(10).expect("some level has <= 10");
         assert!(d.level(lvl).num_communities() <= 10);
         assert!(d.level_with_at_most(0).is_none());
+    }
+
+    #[test]
+    fn best_level_is_louvains_partition() {
+        use crate::backend::BackendKind;
+        use crate::pruning::PruningKind;
+        use gala_graph::generators::sbm::PlantedPartition;
+        // Partitions do not depend on the backend; native keeps this fast.
+        let base = LouvainConfig {
+            backend: BackendKind::Native,
+            ..LouvainConfig::default()
+        };
+        let configs = [
+            base,
+            LouvainConfig {
+                refine: true,
+                ..base
+            },
+            LouvainConfig {
+                pruning: PruningKind::probabilistic_default(),
+                ..base
+            },
+        ];
+        for mixing in [0.2, 0.35, 0.5] {
+            for seed in 1..=6 {
+                let g = PlantedPartition {
+                    num_communities: 10,
+                    community_size: 40,
+                    internal_degree: 6.0,
+                    mixing,
+                }
+                .generate(seed)
+                .graph;
+                for cfg in configs {
+                    let d = Dendrogram::build(&g, cfg);
+                    let full = Louvain::new(cfg).run(&g);
+                    let best = d.best_level();
+                    let case = format!("mu {mixing} seed {seed} {cfg:?}");
+                    assert_eq!(d.level(best), &full.partition, "{case}");
+                    assert_eq!(
+                        d.modularity_at(best).to_bits(),
+                        full.modularity.to_bits(),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::backend::BackendKind;
 use crate::kernels::KernelKind;
 use crate::modularity::modularity_with_resolution;
 use crate::progress::{Counts, ProgressReporter};
+use crate::rounds;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::partition::CommunityId;
@@ -84,84 +85,40 @@ pub fn leiden_instrumented(
     prof: &mut Profiler,
 ) -> LeidenResult {
     let backend = config.backend.resolve();
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "leiden".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: 1,
-        });
-    }
-    let instrumented = prof.is_enabled() || sink.enabled();
+    rounds::run_start(sink, "leiden", graph, 1);
     let mut current: Option<Graph> = None;
     // `labels` carries the working graph's initial communities into each
     // round (Leiden's aggregated vertices do NOT restart as singletons).
     let mut labels: Option<Vec<CommunityId>> = None;
     let mut flat: Option<Partition> = None;
-    let mut rounds = 0;
+    let mut num_rounds = 0;
     let mut cscratch = CoarsenScratch::default();
     let mut sweep = SweepScratch::default();
     // One deterministic `progress` event per round (local moving is one
     // indivisible host pass here, like the sequential baseline).
     let mut progress = ProgressReporter::new("leiden");
-    for round in 0..config.max_rounds {
+    // Leiden keeps its own round loop rather than the hierarchy engine's:
+    // a round whose local moving merges nothing ends before phase 2, with
+    // no `contract` tree and no `round_end`.
+    for round in 0..config.max_rounds as u32 {
         let g = current.as_ref().unwrap_or(graph);
         let mut comm: Vec<CommunityId> = labels
             .take()
             .unwrap_or_else(|| (0..g.num_vertices() as CommunityId).collect());
         prof.enter("round");
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
-        let moved = sub.scope("superstep", |p| {
-            p.scope("decide", |p| {
-                let started = Instant::now();
-                let moved = p.scope("cpu", |p| {
-                    let moved = local_move(g, &mut comm, &config, &mut sweep);
-                    p.count("items", g.num_vertices() as u64);
-                    moved
-                });
-                p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                moved
-            })
+        let moved = rounds::host_pass(sink, prof, round, g.num_vertices(), || {
+            local_move(g, &mut comm, &config, &mut sweep)
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 0,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    0,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        rounds += 1;
+        num_rounds += 1;
         let partition = Partition::from_assignment(comm.clone());
         let (dense, k) = partition.renumbered();
         if k == g.num_vertices() {
             // Nothing merged: converged. Record this level and stop.
             prof.exit();
-            flat = Some(match flat {
-                None => dense,
-                Some(prev) => prev.compose(&dense),
-            });
+            flat = Some(rounds::compose(flat, dense, &mut cscratch));
             break;
         }
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = rounds::sub_profiler(sink, prof);
         // Refinement: re-partition each community from singletons.
         let refined = sub.scope("refine", |p| {
             let started = Instant::now();
@@ -170,53 +127,20 @@ pub fn leiden_instrumented(
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             refined
         });
-        let coarse = sub.scope("contract", |p| {
-            let started = Instant::now();
-            let coarse = backend.contract(
-                g,
-                &refined,
-                KernelKind::default(),
-                instrumented,
-                p,
-                &mut cscratch,
-            );
-            p.count("vertices", g.num_vertices() as u64);
-            p.count("arcs", g.num_arcs() as u64);
-            p.count("communities", coarse.num_communities as u64);
-            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-            coarse
+        let coarse = rounds::contract_span(&mut sub, g, |p| {
+            let instrumented = p.is_enabled();
+            let kernel = KernelKind::default();
+            backend.contract(g, &refined, kernel, instrumented, p, &mut cscratch)
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 1,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event(
-                    config.backend,
-                    round as u32,
-                    1,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
+        rounds::emit_tree(sink, prof, sub, Some(config.backend), round, 1, "contract");
         prof.exit();
         // The aggregated graph's vertices start in their step-1 community.
-        let refined_dense = &coarse.renumbered;
         let mut next_labels = vec![0 as CommunityId; coarse.num_communities];
         for v in 0..g.num_vertices() {
-            let super_v = refined_dense.community_of(v as VertexId) as usize;
+            let super_v = coarse.renumbered.community_of(v as VertexId) as usize;
             next_labels[super_v] = dense.community_of(v as VertexId);
         }
-        flat = Some(match flat {
-            None => refined_dense.clone(),
-            Some(prev) => prev.compose(refined_dense),
-        });
+        flat = Some(rounds::compose(flat, coarse.renumbered, &mut cscratch));
         if sink.enabled() || progress.live() {
             let q = modularity_with_resolution(
                 graph,
@@ -225,7 +149,7 @@ pub fn leiden_instrumented(
             );
             if sink.enabled() {
                 sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
+                    round,
                     supersteps: 1,
                     modularity: q,
                     communities: coarse.num_communities as u64,
@@ -233,7 +157,7 @@ pub fn leiden_instrumented(
             }
             progress.round(
                 sink,
-                round as u32,
+                round,
                 "phase1",
                 1,
                 q,
@@ -248,11 +172,9 @@ pub fn leiden_instrumented(
             break;
         }
         labels = Some(next_labels);
-        if let Some(old) = current.take() {
+        if let Some(old) = current.replace(coarse.graph) {
             cscratch.reclaim_graph(old);
         }
-        cscratch.reclaim_assignment(coarse.renumbered);
-        current = Some(coarse.graph);
     }
     // Flatten maps original vertices to the last refined level; compose
     // with the final labels if a round ended early with labels pending.
@@ -264,7 +186,7 @@ pub fn leiden_instrumented(
     if sink.enabled() {
         sink.emit(TraceEvent::RunEnd {
             modularity: q,
-            rounds: rounds as u32,
+            rounds: num_rounds as u32,
             // Only the aggregation runs on the simulated device; its
             // cycles live in the emitted `contract` span trees.
             total_cycles: 0.0,
@@ -273,7 +195,7 @@ pub fn leiden_instrumented(
     LeidenResult {
         partition,
         modularity: q,
-        rounds,
+        rounds: num_rounds,
     }
 }
 
@@ -282,16 +204,17 @@ pub fn leiden_instrumented(
 /// totals and the per-vertex candidate aggregation instead of reallocating
 /// them each call — the same scratch discipline as `louvain.rs`.
 #[derive(Debug, Default)]
-struct SweepScratch {
+pub(crate) struct SweepScratch {
     /// `D_V(C)` per community id slot.
     d_tot: Vec<f64>,
     /// Per-vertex `(community, d_vc)` aggregation map.
     agg: HashMap<CommunityId, f64>,
 }
 
-/// Sequential local moving with immediate updates (Louvain phase-1 style),
-/// starting from the given assignment. Returns whether anything moved.
-fn local_move(
+/// Sequential local moving with immediate updates — sequential Louvain's
+/// phase 1 — starting from the given assignment. Returns whether anything
+/// moved.
+pub(crate) fn local_move(
     graph: &Graph,
     comm: &mut [CommunityId],
     config: &LeidenConfig,

@@ -44,6 +44,7 @@ pub mod modularity;
 pub mod multi_gpu;
 pub mod progress;
 pub mod pruning;
+mod rounds;
 pub mod sequential;
 pub mod state;
 pub mod validation;

@@ -5,13 +5,13 @@
 use crate::backend::BackendKind;
 use crate::kernels::hashtable::TableStats;
 use crate::kernels::{self, KernelKind};
-use crate::progress::{Counts, ProgressReporter};
 use crate::pruning::{self, PruningKind};
+use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;
-use gala_graph::coarsen::CoarsenScratch;
+use gala_graph::coarsen::{CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition};
 use gala_telemetry::{MetricsRegistry, NullSink, TraceEvent, TraceSink};
 use rand::SeedableRng;
@@ -230,13 +230,7 @@ impl Louvain {
         graph: &Graph,
         sink: &mut dyn TraceSink,
     ) -> (BspState, RoundStats) {
-        self.run_phase1_round(
-            graph,
-            0,
-            sink,
-            &mut Profiler::disabled(),
-            &mut Phase1Scratch::default(),
-        )
+        self.run_phase1_instrumented(graph, sink, &mut Profiler::disabled())
     }
 
     /// [`Self::run_phase1_traced`] with a [`Profiler`] accumulating the
@@ -270,36 +264,16 @@ impl Louvain {
         let mut state = BspState::with_resolution(graph, cfg.resolution);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ round as u64);
         let mut iterations = Vec::new();
-        // Simultaneous greedy moves can overshoot and *lower* Q (the
-        // classic BSP-Louvain hazard), but on weak-community graphs the
-        // optimum lies beyond several such dips. Following Grappolo's
-        // convergence heuristics we keep iterating with bounded patience
-        // and restore the best state seen, so a round never ends below its
-        // peak and Theorem 6's guarantees carry to the system level.
-        let mut best_q = state.modularity(graph);
-        let mut best_state = state.clone(); // a round may never beat its start
-        let mut stagnant = 0usize;
-        let mut prev_q = best_q;
-        // When either consumer wants span trees, each superstep profiles
-        // into a fresh sub-profiler: its tree is emitted as a `span` trace
-        // event and absorbed into the run-level profiler. When both are
-        // off, the disabled sub-profiler keeps the hot path unchanged.
-        let instrumented = prof.is_enabled() || sink.enabled();
+        let mut prev_q = state.modularity(graph);
+        let (theta, patience) = (cfg.theta, cfg.dip_patience);
+        let mut tracker =
+            Phase1Tracker::new("louvain", round as u32, &state, prev_q, theta, patience);
         // Algorithm-level metrics are pure host-side observation (no
         // simulated-memory traffic), built only when a sink wants them and
         // emitted once per round as a `metrics` event.
         let mut metrics = sink.enabled().then(MetricsRegistry::new);
-        // Live progress is host-side too: per-superstep snapshots reach the
-        // flight recorder at a bounded frequency, one deterministic
-        // `progress` event per round reaches the sink.
-        let mut progress = ProgressReporter::new("louvain");
-        let mut arcs_done = 0u64;
         for iteration in 0..cfg.max_iterations {
-            let mut sub = if instrumented {
-                Profiler::new()
-            } else {
-                Profiler::disabled()
-            };
+            let mut sub = rounds::sub_profiler(sink, prof);
             let t0 = Instant::now();
             sub.scope("classify", |p| {
                 pruning::classify_into(cfg.pruning, graph, &state, &mut rng, active);
@@ -337,25 +311,10 @@ impl Louvain {
                 state.modularity(graph)
             });
             let t5 = Instant::now();
-            if instrumented {
-                let tree = sub.finish();
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Span {
-                        round: round as u32,
-                        superstep: iteration as u32,
-                        phase: "phase1".to_string(),
-                        root: tree.clone(),
-                    });
-                    sink.emit(crate::backend::profile_event(
-                        cfg.backend,
-                        round as u32,
-                        iteration as u32,
-                        "phase1",
-                        &tree,
-                    ));
-                }
-                prof.scope("superstep", |p| p.absorb(tree));
-            }
+            let (r, s) = (round as u32, iteration as u32);
+            prof.scope("superstep", |p| {
+                rounds::emit_tree(sink, p, sub, Some(cfg.backend), r, s, "phase1")
+            });
             iterations.push(IterationStats {
                 iteration,
                 num_active,
@@ -371,8 +330,8 @@ impl Louvain {
             if sink.enabled() {
                 let moved = summary.num_moved();
                 sink.emit(TraceEvent::Superstep {
-                    round: round as u32,
-                    superstep: iteration as u32,
+                    round: r,
+                    superstep: s,
                     active: num_active as u64,
                     moved: moved as u64,
                     pruned: (graph.num_vertices() - num_active) as u64,
@@ -386,41 +345,9 @@ impl Louvain {
                 });
             }
             prev_q = q;
-            // Each superstep sweeps the active vertices' arcs; the estimate
-            // scales the graph's arc count by the active fraction.
-            let n = graph.num_vertices();
-            arcs_done += if n == 0 {
-                0
-            } else {
-                (graph.num_arcs() as u64).saturating_mul(num_active as u64) / n as u64
-            };
-            progress.superstep(
-                round as u32,
-                "phase1",
-                iteration as u32,
-                q,
-                Counts::from_counts(num_active, summary.num_moved(), n, arcs_done),
-            );
-            // Progress is measured against the best state, never against
-            // the previous (possibly oscillating) superstep: a θ-sized
-            // up-tick inside an oscillation must not read as convergence.
-            if q > best_q {
-                best_state = state.clone();
-                if q > best_q + cfg.theta {
-                    stagnant = 0; // meaningful progress (Grappolo's θ rule)
-                } else {
-                    stagnant += 1;
-                }
-                best_q = q;
-            } else {
-                stagnant += 1;
-            }
-            if summary.num_moved() == 0 || stagnant > cfg.dip_patience {
+            if tracker.step(graph, &state, q, num_active, summary.num_moved()) {
                 break;
             }
-        }
-        if state.modularity(graph) < best_q {
-            state = best_state;
         }
         if let Some(mut m) = metrics {
             let active_total = m.counter("pruning/active").unwrap_or(0);
@@ -452,28 +379,14 @@ impl Louvain {
         let stats = RoundStats {
             round,
             num_vertices: graph.num_vertices(),
-            modularity: best_q,
+            modularity: tracker.finish(sink, &mut state, graph),
             iterations,
         };
-        let last = stats.iterations.last();
-        progress.round(
-            sink,
-            round as u32,
-            "phase1",
-            stats.iterations.len() as u32,
-            best_q,
-            Counts::from_counts(
-                last.map_or(0, |i| i.num_active),
-                last.map_or(0, |i| i.num_moved),
-                graph.num_vertices(),
-                arcs_done,
-            ),
-        );
         (state, stats)
     }
 
     /// Runs the full multi-round Louvain (phase 1 + phase 2 repetitions)
-    /// and returns the flattened hierarchy result.
+    /// and returns the best flattened level of the hierarchy.
     pub fn run(&self, graph: &Graph) -> LouvainResult {
         self.run_traced(graph, &mut NullSink)
     }
@@ -495,156 +408,130 @@ impl Louvain {
         sink: &mut dyn TraceSink,
         prof: &mut Profiler,
     ) -> LouvainResult {
+        self.run_levels(graph, sink, prof, &mut |_, _| {})
+    }
+
+    /// [`Self::run_instrumented`] that also hands every round's flattened
+    /// level and its modularity on `graph` to `on_level` (the levels a
+    /// [`crate::hierarchy::Dendrogram`] keeps).
+    pub(crate) fn run_levels(
+        &self,
+        graph: &Graph,
+        sink: &mut dyn TraceSink,
+        prof: &mut Profiler,
+        on_level: &mut dyn FnMut(&Partition, f64),
+    ) -> LouvainResult {
         let cfg = &self.config;
-        let backend = cfg.backend.resolve();
-        if sink.enabled() {
-            sink.emit(TraceEvent::RunStart {
-                algorithm: "louvain".to_string(),
-                n: graph.num_vertices() as u64,
-                m: graph.num_edges() as u64,
-                devices: 1,
-            });
-        }
-        let mut rounds = Vec::new();
-        let mut current: Option<Graph> = None; // None = original graph
-        let mut flat: Option<Partition> = None;
-        let mut best: Option<(Partition, f64)> = None;
-        let mut last_q = f64::NEG_INFINITY;
-        let instrumented = prof.is_enabled() || sink.enabled();
-        // One working set for the whole hierarchy: later (coarser) rounds
-        // reuse the first round's allocations. The contraction scratch also
-        // reclaims each dropped coarse graph's CSR buffers, so steady-state
-        // rounds contract without fresh allocations.
-        let mut scratch = Phase1Scratch::default();
-        let mut cscratch = CoarsenScratch::default();
-        let mut progress = ProgressReporter::new("louvain");
-        for round in 0..cfg.max_rounds {
-            let g = current.as_ref().unwrap_or(graph);
-            prof.enter("round");
-            let (state, stats) = self.run_phase1_round(g, round, sink, prof, &mut scratch);
-            let q = stats.modularity;
-            let moved_any = stats.iterations.iter().any(|i| i.num_moved > 0);
-            // Phase 2 (refine + contract) profiles like a superstep: a
-            // fresh sub-tree per round, emitted as a `span` event and
-            // absorbed into the open `round` span.
-            let mut sub = if instrumented {
-                Profiler::new()
-            } else {
-                Profiler::disabled()
-            };
-            let partition = if cfg.refine {
-                // Leiden-style repair: split each community into its
-                // well-connected pieces before aggregating; the next
-                // round's phase 1 re-merges whatever belongs together.
-                sub.scope("refine", |p| {
-                    let refined = crate::leiden::refine_partition(
-                        g,
-                        &state.partition(),
-                        cfg.resolution,
-                        cfg.max_iterations,
-                    );
-                    p.count("communities", refined.num_communities() as u64);
-                    refined
-                })
-            } else {
-                state.partition()
-            };
-            let coarse = sub.scope("contract", |p| {
-                let started = Instant::now();
-                let coarse =
-                    backend.contract(g, &partition, cfg.kernel, instrumented, p, &mut cscratch);
-                p.count("vertices", g.num_vertices() as u64);
-                p.count("arcs", g.num_arcs() as u64);
-                p.count("communities", coarse.num_communities as u64);
-                p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                coarse
-            });
-            if instrumented {
-                let tree = sub.finish();
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Span {
-                        round: round as u32,
-                        superstep: stats.iterations.len() as u32,
-                        phase: "contract".to_string(),
-                        root: tree.clone(),
-                    });
-                    sink.emit(crate::backend::profile_event(
-                        cfg.backend,
-                        round as u32,
-                        stats.iterations.len() as u32,
-                        "contract",
-                        &tree,
-                    ));
-                }
-                prof.absorb(tree);
-            }
-            prof.exit();
-            rounds.push(stats);
-            let composed = match flat {
-                None => coarse.renumbered.clone(),
-                Some(prev) => prev.compose(&coarse.renumbered),
-            };
-            // Track the best flattened partition on the *original* graph —
-            // refinement may transiently lower Q before the next round
-            // recovers it, and the caller should never see that dip.
-            let q_flat =
-                crate::modularity::modularity_with_resolution(graph, &composed, cfg.resolution);
-            if best.as_ref().is_none_or(|(_, bq)| q_flat > *bq) {
-                best = Some((composed.clone(), q_flat));
-            }
-            flat = Some(composed);
-            if sink.enabled() {
-                let stats = rounds.last().expect("round just pushed");
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: stats.iterations.len() as u32,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            // Coarsening progress: the next round's graph size tells the
-            // operator how fast the hierarchy is collapsing.
-            progress.round(
-                sink,
-                round as u32,
-                "contract",
-                rounds.last().map_or(0, |s| s.iterations.len()) as u32,
-                q_flat,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse.graph.num_arcs() as u64,
-                },
-            );
-            // Stop when phase 1 stopped merging or the round gained < θ.
-            if !moved_any || coarse.num_communities == g.num_vertices() || q - last_q < cfg.theta {
-                break;
-            }
-            last_q = q;
-            // Hand the spent level's allocations back to the contraction
-            // scratch: rounds only shrink, so the next contract round runs
-            // entirely in reclaimed buffers.
-            if let Some(old) = current.take() {
-                cscratch.reclaim_graph(old);
-            }
-            cscratch.reclaim_assignment(coarse.renumbered);
-            current = Some(coarse.graph);
-        }
-        let (partition, modularity) =
-            best.unwrap_or_else(|| (Partition::singletons(graph.num_vertices()), 0.0));
-        let result = LouvainResult {
+        let spec = rounds::Spec {
+            algorithm: "louvain",
+            devices: 1,
+            max_rounds: cfg.max_rounds,
+            theta: cfg.theta,
+            charge: Some(cfg.backend),
+        };
+        // One phase-1 working set for the whole hierarchy: later (coarser)
+        // rounds reuse the first round's allocations.
+        let mut driver = LouvainRounds {
+            runner: self,
+            scratch: Phase1Scratch::default(),
+            rounds: Vec::new(),
+            best: None,
+            on_level,
+        };
+        let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, sink, prof);
+        LouvainResult {
             partition,
             modularity,
-            rounds,
+            rounds: driver.rounds,
+        }
+    }
+}
+
+/// [`Louvain`]'s rounds on the hierarchy engine.
+struct LouvainRounds<'a> {
+    runner: &'a Louvain,
+    scratch: Phase1Scratch,
+    rounds: Vec<RoundStats>,
+    /// The best flattened level so far and its modularity.
+    best: Option<(Partition, f64)>,
+    on_level: &'a mut dyn FnMut(&Partition, f64),
+}
+
+impl Driver for LouvainRounds<'_> {
+    fn phase1(
+        &mut self,
+        g: &Graph,
+        round: u32,
+        sink: &mut dyn TraceSink,
+        prof: &mut Profiler,
+    ) -> Phase1 {
+        let (state, stats) =
+            self.runner
+                .run_phase1_round(g, round as usize, sink, prof, &mut self.scratch);
+        let p1 = Phase1 {
+            communities: state.partition(),
+            supersteps: stats.iterations.len() as u32,
+            q: Some(stats.modularity),
         };
-        if sink.enabled() {
-            sink.emit(TraceEvent::RunEnd {
-                modularity,
-                rounds: result.rounds.len() as u32,
-                total_cycles: CostModel::default().cycles(&result.total_tally()),
+        self.rounds.push(stats);
+        p1
+    }
+
+    fn phase2(
+        &mut self,
+        g: &Graph,
+        mut communities: Partition,
+        sub: &mut Profiler,
+        scratch: &mut CoarsenScratch,
+    ) -> Coarsened {
+        let cfg = &self.runner.config;
+        if cfg.refine {
+            // Leiden-style repair: split each community into its
+            // well-connected pieces before aggregating; the next round's
+            // phase 1 re-merges whatever belongs together.
+            communities = sub.scope("refine", |p| {
+                let refined = crate::leiden::refine_partition(
+                    g,
+                    &communities,
+                    cfg.resolution,
+                    cfg.max_iterations,
+                );
+                p.count("communities", refined.num_communities() as u64);
+                refined
             });
         }
-        result
+        rounds::contract_span(sub, g, |p| {
+            let instrumented = p.is_enabled();
+            let backend = cfg.backend.resolve();
+            backend.contract(g, &communities, cfg.kernel, instrumented, p, scratch)
+        })
+    }
+
+    fn level(&mut self, graph: &Graph, flat: &Partition) -> Option<f64> {
+        // Track the best flattened partition on the *original* graph —
+        // refinement may transiently lower Q before the next round
+        // recovers it, and the caller should never see that dip.
+        let q = crate::modularity::modularity_with_resolution(
+            graph,
+            flat,
+            self.runner.config.resolution,
+        );
+        if self.best.as_ref().is_none_or(|(_, bq)| q > *bq) {
+            self.best = Some((flat.clone(), q));
+        }
+        (self.on_level)(flat, q);
+        Some(q)
+    }
+
+    fn finish(&mut self, graph: &Graph, _flat: Option<Partition>) -> (Partition, f64) {
+        self.best
+            .take()
+            .unwrap_or_else(|| (Partition::singletons(graph.num_vertices()), 0.0))
+    }
+
+    fn total_cycles(&self) -> f64 {
+        let total: MemTally = self.rounds.iter().map(|r| r.total_tally()).sum();
+        CostModel::default().cycles(&total)
     }
 }
 

@@ -23,9 +23,10 @@
 
 use crate::backend::BackendKind;
 use crate::kernels::{self, KernelKind};
+use crate::louvain::LouvainConfig;
 use crate::mg_contract::{self, ContractRoundStats};
-use crate::progress::{Counts, ProgressReporter};
 use crate::pruning::{self, PruningKind};
+use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::comm::DeviceGroup;
@@ -38,7 +39,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::str::FromStr;
-use std::time::Instant;
 
 /// Synchronisation strategy between devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,6 +194,12 @@ impl MultiGpuResult {
     pub fn total_us(&self) -> f64 {
         self.compute_us() + self.comm_us()
     }
+
+    /// Summed simulated tally of every device's decide passes.
+    fn device_tally(&self) -> MemTally {
+        let tallies = self.iterations.iter().flat_map(|i| &i.device_tallies);
+        tallies.copied().sum()
+    }
 }
 
 /// Splits `0..n` into `p` contiguous ranges of roughly equal *arc* counts,
@@ -247,22 +253,26 @@ pub fn run_phase1_instrumented(
     sink: &mut dyn TraceSink,
     prof: &mut Profiler,
 ) -> MultiGpuResult {
-    run_phase1_round(graph, config, sink, prof, 0, true)
+    rounds::run_start(sink, "multi-gpu", graph, config.num_devices as u32);
+    let result = run_phase1_round(graph, config, sink, prof, 0);
+    if sink.enabled() {
+        sink.emit(TraceEvent::RunEnd {
+            modularity: result.modularity,
+            rounds: 1,
+            total_cycles: CostModel::default().cycles(&result.device_tally()),
+        });
+    }
+    result
 }
 
-/// One phase-1 pass at hierarchy round `round`. `bracket` controls whether
-/// this call owns the trace's `run_start`/`run_end` bracket (standalone
-/// phase-1 entry points) or runs inside a caller-owned bracket
-/// ([`run_full_instrumented`], which emits one bracket around all rounds).
-/// With `round == 0` and `bracket == true`, the emitted event stream is
-/// byte-identical to the pre-refactor [`run_phase1_instrumented`].
+/// One phase-1 pass at hierarchy round `round`, inside a caller-owned
+/// `run_start`/`run_end` bracket.
 fn run_phase1_round(
     graph: &Graph,
     config: MultiGpuConfig,
     sink: &mut dyn TraceSink,
     prof: &mut Profiler,
     round: u32,
-    bracket: bool,
 ) -> MultiGpuResult {
     let cfg = config;
     let backend = cfg.backend.resolve();
@@ -272,24 +282,12 @@ fn run_phase1_round(
     let mut state = BspState::new(graph);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut iterations = Vec::new();
-    // Dip-tolerant convergence, mirroring louvain.rs.
-    const PATIENCE: usize = 8;
-    let mut best_q = state.modularity(graph);
-    let mut best_state = state.clone();
-    let mut stagnant = 0usize;
     let n = graph.num_vertices();
     let cycles_per_us = cfg.clock_ghz * 1000.0 * cfg.effective_parallelism;
-    let mut prev_q = best_q;
-    if bracket && sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "multi-gpu".to_string(),
-            n: n as u64,
-            m: graph.num_edges() as u64,
-            devices: cfg.num_devices as u32,
-        });
-    }
-
-    let instrumented = prof.is_enabled() || sink.enabled();
+    let mut prev_q = state.modularity(graph);
+    // Dip-tolerant convergence, with louvain.rs's default patience.
+    let patience = LouvainConfig::default().dip_patience;
+    let mut tracker = Phase1Tracker::new("multi-gpu", round, &state, prev_q, cfg.theta, patience);
     // Algorithm-level metrics (sync strategy, routing, pruning): host-side
     // observation only, emitted once as a `metrics` event before run_end.
     let mut metrics = sink.enabled().then(|| {
@@ -297,10 +295,6 @@ fn run_phase1_round(
         m.inc("sync/devices", cfg.num_devices as u64);
         m
     });
-    // Live progress: per-superstep snapshots to the flight recorder at a
-    // bounded frequency, one deterministic `progress` event per round.
-    let mut progress = ProgressReporter::new("multi-gpu");
-    let mut arcs_done = 0u64;
     // Superstep working set, allocated once and recycled every iteration.
     let mut active: Vec<bool> = Vec::new();
     let mut next_comm = Vec::new();
@@ -308,11 +302,7 @@ fn run_phase1_round(
     let mut dscratch = kernels::DecideScratch::default();
     let mut dev_out = kernels::DecideOutput::default();
     for iteration in 0..cfg.max_iterations {
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = rounds::sub_profiler(sink, prof);
         sub.scope("classify", |p| {
             pruning::classify_into(cfg.pruning, graph, &state, &mut rng, &mut active);
             let num_active = active.iter().filter(|&&a| a).count() as u64;
@@ -351,9 +341,7 @@ fn run_phase1_round(
             }
             device_tallies.push(dev_out.tally);
         }
-        if instrumented {
-            sub.scope("decide", |p| p.count("devices", cfg.num_devices as u64));
-        }
+        sub.scope("decide", |p| p.count("devices", cfg.num_devices as u64));
         let compute_us = device_tallies
             .iter()
             .map(|t| cost.cycles(t) / cycles_per_us)
@@ -365,8 +353,10 @@ fn run_phase1_round(
             .zip(&state.comm)
             .filter(|(a, b)| a != b)
             .count();
-        let dense_us = group.all_reduce_time_us(n as u64 * DENSE_BYTES_PER_VERTEX);
-        let sparse_us = group.all_gather_time_us(num_moved as u64 * SPARSE_BYTES_PER_MOVE);
+        let dense_bytes = n as u64 * DENSE_BYTES_PER_VERTEX;
+        let sparse_bytes = num_moved as u64 * SPARSE_BYTES_PER_MOVE;
+        let dense_us = group.all_reduce_time_us(dense_bytes);
+        let sparse_us = group.all_gather_time_us(sparse_bytes);
         let (sync_used, comm_us) = match cfg.sync {
             SyncMode::Dense => (SyncMode::Dense, dense_us),
             SyncMode::Sparse => (SyncMode::Sparse, sparse_us),
@@ -379,40 +369,25 @@ fn run_phase1_round(
             }
         };
 
-        if instrumented {
-            sub.scope("sync", |p| {
-                p.count(
-                    "bytes",
-                    match sync_used {
-                        SyncMode::Dense => n as u64 * DENSE_BYTES_PER_VERTEX,
-                        _ => num_moved as u64 * SPARSE_BYTES_PER_MOVE,
-                    },
-                );
-                p.count("dense_bytes", n as u64 * DENSE_BYTES_PER_VERTEX);
-                p.count("sparse_bytes", num_moved as u64 * SPARSE_BYTES_PER_MOVE);
-                p.count(
-                    match sync_used {
-                        SyncMode::Dense => "dense_syncs",
-                        _ => "sparse_syncs",
-                    },
-                    1,
-                );
-            });
-        }
+        let dense = sync_used == SyncMode::Dense;
+        let (mode, used_bytes) = if dense {
+            ("dense", dense_bytes)
+        } else {
+            ("sparse", sparse_bytes)
+        };
+        sub.scope("sync", |p| {
+            p.count("bytes", used_bytes);
+            p.count("dense_bytes", dense_bytes);
+            p.count("sparse_bytes", sparse_bytes);
+            p.count(if dense { "dense_syncs" } else { "sparse_syncs" }, 1);
+        });
         if let Some(m) = metrics.as_mut() {
-            let used_bytes = match sync_used {
-                SyncMode::Dense => n as u64 * DENSE_BYTES_PER_VERTEX,
-                _ => num_moved as u64 * SPARSE_BYTES_PER_MOVE,
-            };
-            match sync_used {
-                SyncMode::Dense => {
-                    m.inc("sync/dense_syncs", 1);
-                    m.inc("sync/dense_bytes", used_bytes);
-                }
-                _ => {
-                    m.inc("sync/sparse_syncs", 1);
-                    m.inc("sync/sparse_bytes", used_bytes);
-                }
+            if dense {
+                m.inc("sync/dense_syncs", 1);
+                m.inc("sync/dense_bytes", used_bytes);
+            } else {
+                m.inc("sync/sparse_syncs", 1);
+                m.inc("sync/sparse_bytes", used_bytes);
             }
             m.observe("sync/bytes_per_superstep", used_bytes);
             m.inc("pruning/active", num_active as u64);
@@ -437,30 +412,15 @@ fn run_phase1_round(
             p.count("items", n as u64);
             state.modularity(graph)
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round,
-                    superstep: iteration as u32,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event(
-                    cfg.backend,
-                    round,
-                    iteration as u32,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.scope("superstep", |p| p.absorb(tree));
-        }
+        let s = iteration as u32;
+        prof.scope("superstep", |p| {
+            rounds::emit_tree(sink, p, sub, Some(cfg.backend), round, s, "phase1")
+        });
         if sink.enabled() {
             let moved = summary.num_moved();
             sink.emit(TraceEvent::Superstep {
                 round,
-                superstep: iteration as u32,
+                superstep: s,
                 active: num_active as u64,
                 moved: moved as u64,
                 pruned: (n - num_active) as u64,
@@ -473,33 +433,14 @@ fn run_phase1_round(
                 hash_evictions: 0,
             });
             sink.emit(TraceEvent::Sync {
-                superstep: iteration as u32,
-                mode: match sync_used {
-                    SyncMode::Dense => "dense".to_string(),
-                    _ => "sparse".to_string(),
-                },
-                bytes: match sync_used {
-                    SyncMode::Dense => n as u64 * DENSE_BYTES_PER_VERTEX,
-                    // Same count the sparse cost above was modelled with.
-                    _ => num_moved as u64 * SPARSE_BYTES_PER_MOVE,
-                },
+                superstep: s,
+                mode: mode.to_string(),
+                bytes: used_bytes,
                 comm_us,
                 devices: cfg.num_devices as u32,
             });
         }
         prev_q = q;
-        arcs_done += if n == 0 {
-            0
-        } else {
-            (graph.num_arcs() as u64).saturating_mul(num_active as u64) / n as u64
-        };
-        progress.superstep(
-            round,
-            "phase1",
-            iteration as u32,
-            q,
-            Counts::from_counts(num_active, summary.num_moved(), n, arcs_done),
-        );
         iterations.push(MultiGpuIteration {
             iteration,
             compute_us,
@@ -509,24 +450,9 @@ fn run_phase1_round(
             num_active,
             device_tallies,
         });
-        // Progress measured against the best state (see louvain.rs).
-        if q > best_q {
-            best_state = state.clone();
-            if q > best_q + cfg.theta {
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            best_q = q;
-        } else {
-            stagnant += 1;
-        }
-        if summary.num_moved() == 0 || stagnant > PATIENCE {
+        if tracker.step(graph, &state, q, num_active, summary.num_moved()) {
             break;
         }
-    }
-    if state.modularity(graph) < best_q {
-        state = best_state;
     }
 
     if let Some(mut m) = metrics {
@@ -546,31 +472,7 @@ fn run_phase1_round(
             registry: m,
         });
     }
-    let last = iterations.last();
-    progress.round(
-        sink,
-        round,
-        "phase1",
-        iterations.len() as u32,
-        best_q,
-        Counts::from_counts(
-            last.map_or(0, |i| i.num_active),
-            last.map_or(0, |i| i.num_moved),
-            n,
-            arcs_done,
-        ),
-    );
-    if bracket && sink.enabled() {
-        let total: MemTally = iterations
-            .iter()
-            .flat_map(|i| i.device_tallies.iter().copied())
-            .sum();
-        sink.emit(TraceEvent::RunEnd {
-            modularity: best_q,
-            rounds: 1,
-            total_cycles: cost.cycles(&total),
-        });
-    }
+    let best_q = tracker.finish(sink, &mut state, graph);
     MultiGpuResult {
         partition: state.partition(),
         modularity: best_q,
@@ -636,182 +538,109 @@ pub fn run_full_instrumented(
     sink: &mut dyn TraceSink,
     prof: &mut Profiler,
 ) -> MultiGpuFullResult {
-    let cfg = config;
-    let backend = cfg.backend.resolve();
-    let instrumented = prof.is_enabled() || sink.enabled();
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "multi-gpu".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: cfg.num_devices as u32,
-        });
-    }
-    let mut current: Option<Graph> = None;
-    let mut flat: Option<Partition> = None;
-    let mut rounds: Vec<MultiGpuResult> = Vec::new();
-    let mut contracts: Vec<ContractRoundStats> = Vec::new();
-    let mut last_q = f64::NEG_INFINITY;
-    let mut cscratch = CoarsenScratch::default();
-    let mut progress = ProgressReporter::new("multi-gpu");
-    for round in 0..20u32 {
-        let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
-        let round_res = run_phase1_round(g, cfg, sink, prof, round, false);
-        let q = round_res.modularity;
-        // Phase 2 profiles like a superstep: a fresh sub-tree per round,
-        // emitted as a `span`/`profile` pair and absorbed into the open
-        // `round` span (the louvain driver's contract idiom).
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
-        let started = Instant::now();
-        let (coarse, cstats) = sub.scope("contract", |p| {
-            let out = match cfg.contract {
-                ContractMode::Host => {
-                    let coarse = backend.contract(
-                        g,
-                        &round_res.partition,
-                        cfg.kernel,
-                        instrumented,
-                        p,
-                        &mut cscratch,
-                    );
-                    let stats = ContractRoundStats {
-                        devices: cfg.num_devices,
-                        rows: coarse.num_communities as u64,
-                        mode: "host",
-                        ..ContractRoundStats::default()
-                    };
-                    (coarse, stats)
-                }
-                ContractMode::Partitioned => mg_contract::contract_partitioned(
-                    g,
-                    &round_res.partition,
-                    &cfg,
-                    backend,
-                    p,
-                    &mut cscratch,
-                ),
-            };
-            p.count("vertices", g.num_vertices() as u64);
-            p.count("arcs", g.num_arcs() as u64);
-            p.count("communities", out.0.num_communities as u64);
-            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-            out
-        });
-        let supersteps = round_res.iterations.len() as u32;
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round,
-                    superstep: supersteps,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event(
-                    cfg.backend,
-                    round,
-                    supersteps,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        // The exchange is the phase-2 analogue of a phase-1 sync: one
-        // event per partitioned round (the host fallback exchanges
-        // nothing, so it emits nothing).
-        if sink.enabled() && cstats.mode != "host" {
-            sink.emit(TraceEvent::Sync {
-                superstep: supersteps,
-                mode: cstats.mode.to_string(),
-                bytes: cstats.exchange_bytes,
-                comm_us: cstats.exchange_us,
-                devices: cfg.num_devices as u32,
-            });
-        }
-        prof.exit();
-        let stalled = coarse.num_communities == g.num_vertices();
-        if sink.enabled() {
-            sink.emit(TraceEvent::RoundEnd {
-                round,
-                supersteps,
-                modularity: q,
-                communities: coarse.num_communities as u64,
-            });
-        }
-        // Coarsening progress: the next level's arc count shows how fast
-        // the hierarchy is collapsing.
-        progress.round(
-            sink,
-            round,
-            "contract",
-            supersteps,
-            q,
-            Counts {
-                active_frac: 0.0,
-                moved_frac: 0.0,
-                arcs: coarse.graph.num_arcs() as u64,
-            },
-        );
-        rounds.push(round_res);
-        contracts.push(cstats);
-        let Coarsened {
-            graph: coarse_graph,
-            renumbered,
-            ..
-        } = coarse;
-        // Compose into the flat partition without cloning: the first
-        // round's renumbering *is* the flat partition; later rounds hand
-        // the spent level's assignment back to the scratch.
-        flat = Some(match flat.take() {
-            None => renumbered,
-            Some(prev) => {
-                let composed = prev.compose(&renumbered);
-                cscratch.reclaim_assignment(renumbered);
-                composed
-            }
-        });
-        if stalled || q - last_q < cfg.theta {
-            // The final round's coarse graph is never descended into:
-            // reclaim its CSR buffers instead of leaking them.
-            cscratch.reclaim_graph(coarse_graph);
-            break;
-        }
-        last_q = q;
-        if let Some(old) = current.take() {
-            cscratch.reclaim_graph(old);
-        }
-        current = Some(coarse_graph);
-    }
-    let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
-    let modularity = crate::modularity::modularity(graph, &partition);
-    if sink.enabled() {
-        let total: MemTally = rounds
-            .iter()
-            .flat_map(|r| r.iterations.iter())
-            .flat_map(|i| i.device_tallies.iter().copied())
-            .chain(
-                contracts
-                    .iter()
-                    .flat_map(|c| c.device_tallies.iter().copied()),
-            )
-            .sum();
-        sink.emit(TraceEvent::RunEnd {
-            modularity,
-            rounds: rounds.len() as u32,
-            total_cycles: CostModel::default().cycles(&total),
-        });
-    }
+    let spec = rounds::Spec {
+        algorithm: "multi-gpu",
+        devices: config.num_devices as u32,
+        max_rounds: LouvainConfig::default().max_rounds,
+        theta: config.theta,
+        charge: Some(config.backend),
+    };
+    let mut driver = FullRounds {
+        config,
+        rounds: Vec::new(),
+        contracts: Vec::new(),
+    };
+    let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, sink, prof);
     MultiGpuFullResult {
         partition,
         modularity,
-        rounds,
-        contracts,
+        rounds: driver.rounds,
+        contracts: driver.contracts,
+    }
+}
+
+/// [`run_full`]'s rounds on the hierarchy engine.
+struct FullRounds {
+    config: MultiGpuConfig,
+    rounds: Vec<MultiGpuResult>,
+    contracts: Vec<ContractRoundStats>,
+}
+
+impl Driver for FullRounds {
+    fn phase1(
+        &mut self,
+        g: &Graph,
+        round: u32,
+        sink: &mut dyn TraceSink,
+        prof: &mut Profiler,
+    ) -> Phase1 {
+        let mut result = run_phase1_round(g, self.config, sink, prof, round);
+        // The round record gets its partition back after phase 2.
+        let communities = std::mem::replace(&mut result.partition, Partition::singletons(0));
+        let p1 = Phase1 {
+            communities,
+            supersteps: result.iterations.len() as u32,
+            q: Some(result.modularity),
+        };
+        self.rounds.push(result);
+        p1
+    }
+
+    fn phase2(
+        &mut self,
+        g: &Graph,
+        communities: Partition,
+        sub: &mut Profiler,
+        scratch: &mut CoarsenScratch,
+    ) -> Coarsened {
+        let cfg = &self.config;
+        let backend = cfg.backend.resolve();
+        let mut stats = ContractRoundStats::default();
+        let coarse = rounds::contract_span(sub, g, |p| match cfg.contract {
+            ContractMode::Host => {
+                let instrumented = p.is_enabled();
+                let coarse =
+                    backend.contract(g, &communities, cfg.kernel, instrumented, p, scratch);
+                stats = ContractRoundStats {
+                    devices: cfg.num_devices,
+                    rows: coarse.num_communities as u64,
+                    mode: "host",
+                    ..ContractRoundStats::default()
+                };
+                coarse
+            }
+            ContractMode::Partitioned => {
+                let (coarse, partitioned) =
+                    mg_contract::contract_partitioned(g, &communities, cfg, backend, p, scratch);
+                stats = partitioned;
+                coarse
+            }
+        });
+        self.contracts.push(stats);
+        self.rounds.last_mut().expect("phase 1 ran").partition = communities;
+        coarse
+    }
+
+    fn contracted(&mut self, sink: &mut dyn TraceSink, superstep: u32) {
+        // The exchange is the phase-2 analogue of a phase-1 sync: one event
+        // per partitioned round (the host fallback exchanges nothing, so it
+        // emits nothing).
+        let stats = self.contracts.last().expect("phase 2 ran");
+        if sink.enabled() && stats.mode != "host" {
+            sink.emit(TraceEvent::Sync {
+                superstep,
+                mode: stats.mode.to_string(),
+                bytes: stats.exchange_bytes,
+                comm_us: stats.exchange_us,
+                devices: self.config.num_devices as u32,
+            });
+        }
+    }
+
+    fn total_cycles(&self) -> f64 {
+        let contracts = self.contracts.iter().flat_map(|c| &c.device_tallies);
+        let total: MemTally = self.rounds.iter().map(MultiGpuResult::device_tally).sum();
+        CostModel::default().cycles(&(total + contracts.copied().sum()))
     }
 }
 

@@ -1,0 +1,409 @@
+//! The hierarchy engine shared by the Louvain-family drivers.
+//!
+//! Louvain repeats two phases: phase 1 moves vertices between communities,
+//! phase 2 contracts every community to one vertex. The drivers differ only
+//! in how they run those two steps, so each supplies them through
+//! [`Driver`] and [`run`] owns the rest of the round loop: the
+//! `run_start`/`run_end` bracket, the per-round `round` span, the phase-2
+//! sub-profiler and its `span`/`profile` emission, composing every level
+//! into the flat partition of the original graph, contraction-scratch
+//! reclaim, `round_end` plus per-round progress, and the stop rule. The
+//! helpers below are the pieces the drivers' phase-1 loops share.
+
+use crate::backend::{profile_event, BackendKind};
+use crate::modularity::modularity;
+use crate::progress::{Counts, ProgressReporter};
+use crate::state::BspState;
+use gala_gpu::profile::Profiler;
+use gala_graph::coarsen::{coarsen_into, CoarsenScratch, Coarsened};
+use gala_graph::{Graph, Partition};
+use gala_telemetry::{TraceEvent, TraceSink};
+use std::time::Instant;
+
+/// The run-level facts the engine reports for a driver.
+pub(crate) struct Spec {
+    /// Driver name of the `run_start` event and the progress reporter.
+    pub algorithm: &'static str,
+    /// Simulated devices, for `run_start`.
+    pub devices: u32,
+    /// Cap on rounds.
+    pub max_rounds: usize,
+    /// Minimum phase-1 gain between rounds (drivers that supply a Q).
+    pub theta: f64,
+    /// What the phase-2 `profile` events charge: a backend's unit, or host
+    /// wall time when `None`.
+    pub charge: Option<BackendKind>,
+}
+
+/// What phase 1 hands the engine.
+pub(crate) struct Phase1 {
+    /// The communities phase 1 found on the round's graph.
+    pub communities: Partition,
+    /// Supersteps phase 1 took; the round's phase-2 tree is emitted at
+    /// this superstep index.
+    pub supersteps: u32,
+    /// Phase-1 modularity on the round's graph, from drivers that track it
+    /// (and report phase 1's progress themselves): it enables the θ stop
+    /// rule, and the round's progress event then describes the contraction.
+    pub q: Option<f64>,
+}
+
+/// One hierarchy driver's two phases plus its view of the result.
+pub(crate) trait Driver {
+    /// Runs phase 1 of `round` on `g`.
+    fn phase1(
+        &mut self,
+        g: &Graph,
+        round: u32,
+        sink: &mut dyn TraceSink,
+        prof: &mut Profiler,
+    ) -> Phase1;
+
+    /// Contracts `g` by phase 1's `communities`, profiled into `sub`. The
+    /// default is the host counting-sort contraction.
+    fn phase2(
+        &mut self,
+        g: &Graph,
+        communities: Partition,
+        sub: &mut Profiler,
+        scratch: &mut CoarsenScratch,
+    ) -> Coarsened {
+        contract_span(sub, g, |_| coarsen_into(g, &communities, scratch))
+    }
+
+    /// Emits events that follow the round's phase-2 tree.
+    fn contracted(&mut self, _sink: &mut dyn TraceSink, _superstep: u32) {}
+
+    /// Sees each round's flat partition of the original `graph`; returns
+    /// its modularity when the driver computes it.
+    fn level(&mut self, _graph: &Graph, _flat: &Partition) -> Option<f64> {
+        None
+    }
+
+    /// The result partition and its modularity, given the last flat level
+    /// (`None` when no round ran).
+    fn finish(&mut self, graph: &Graph, flat: Option<Partition>) -> (Partition, f64) {
+        let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
+        let q = modularity(graph, &partition);
+        (partition, q)
+    }
+
+    /// Simulated cycles of the whole run, for `run_end`.
+    fn total_cycles(&self) -> f64 {
+        0.0
+    }
+}
+
+/// Runs `driver`'s rounds on `graph` until the contraction stalls (no two
+/// vertices merged), phase 1's Q gains less than θ over the previous round,
+/// or `spec.max_rounds` is reached. Returns the result partition, its
+/// modularity and the rounds run.
+pub(crate) fn run(
+    graph: &Graph,
+    spec: &Spec,
+    driver: &mut impl Driver,
+    sink: &mut dyn TraceSink,
+    prof: &mut Profiler,
+) -> (Partition, f64, usize) {
+    run_start(sink, spec.algorithm, graph, spec.devices);
+    // Reclaiming each spent level into one scratch lets steady-state rounds
+    // contract without fresh allocations.
+    let mut scratch = CoarsenScratch::default();
+    let mut progress = ProgressReporter::new(spec.algorithm);
+    let mut current: Option<Graph> = None; // None = the original graph
+    let mut flat: Option<Partition> = None;
+    let mut last_q = f64::NEG_INFINITY;
+    let mut rounds = 0;
+    for round in 0..spec.max_rounds as u32 {
+        rounds += 1;
+        let g = current.as_ref().unwrap_or(graph);
+        prof.enter("round");
+        let Phase1 {
+            communities,
+            supersteps,
+            q,
+        } = driver.phase1(g, round, sink, prof);
+        let mut sub = sub_profiler(sink, prof);
+        let Coarsened {
+            graph: coarse,
+            renumbered,
+            num_communities,
+        } = driver.phase2(g, communities, &mut sub, &mut scratch);
+        emit_tree(sink, prof, sub, spec.charge, round, supersteps, "contract");
+        driver.contracted(sink, supersteps);
+        prof.exit();
+        let composed = compose(flat.take(), renumbered, &mut scratch);
+        let level = flat.insert(composed);
+        let level_q = driver.level(graph, level);
+        if sink.enabled() || progress.live() {
+            // Flattened modularity costs a pass over the original graph, so
+            // drivers that compute neither Q pay for it only when observed.
+            let shown = level_q.or(q).unwrap_or_else(|| modularity(graph, level));
+            if sink.enabled() {
+                sink.emit(TraceEvent::RoundEnd {
+                    round,
+                    supersteps,
+                    modularity: q.unwrap_or(shown),
+                    communities: num_communities as u64,
+                });
+            }
+            let (phase, arcs) = match q {
+                Some(_) => ("contract", coarse.num_arcs()),
+                None => ("phase1", g.num_arcs()),
+            };
+            progress.round(
+                sink,
+                round,
+                phase,
+                supersteps,
+                shown,
+                Counts {
+                    active_frac: 0.0,
+                    moved_frac: 0.0,
+                    arcs: arcs as u64,
+                },
+            );
+        }
+        let stalled = num_communities == g.num_vertices();
+        if stalled || q.is_some_and(|q| q - last_q < spec.theta) {
+            break;
+        }
+        last_q = q.unwrap_or(last_q);
+        if let Some(old) = current.replace(coarse) {
+            scratch.reclaim_graph(old);
+        }
+    }
+    let (partition, q) = driver.finish(graph, flat);
+    if sink.enabled() {
+        sink.emit(TraceEvent::RunEnd {
+            modularity: q,
+            rounds: rounds as u32,
+            total_cycles: driver.total_cycles(),
+        });
+    }
+    (partition, q, rounds)
+}
+
+/// Maps the original graph onto the next level: `flat` (the original
+/// graph's communities so far, `None` before the first round) composed
+/// with `level`, whose buffer goes back to `scratch`.
+pub(crate) fn compose(
+    flat: Option<Partition>,
+    level: Partition,
+    scratch: &mut CoarsenScratch,
+) -> Partition {
+    match flat {
+        None => level,
+        Some(prev) => {
+            let composed = prev.compose(&level);
+            scratch.reclaim_assignment(level);
+            composed
+        }
+    }
+}
+
+/// Emits the `run_start` event that opens a driver's trace.
+pub(crate) fn run_start(sink: &mut dyn TraceSink, algorithm: &str, graph: &Graph, devices: u32) {
+    if sink.enabled() {
+        sink.emit(TraceEvent::RunStart {
+            algorithm: algorithm.to_string(),
+            n: graph.num_vertices() as u64,
+            m: graph.num_edges() as u64,
+            devices,
+        });
+    }
+}
+
+/// A fresh profiler for one superstep's or phase's tree, disabled (a no-op)
+/// unless the run-level profiler or the sink wants span trees.
+pub(crate) fn sub_profiler(sink: &dyn TraceSink, prof: &Profiler) -> Profiler {
+    if prof.is_enabled() || sink.enabled() {
+        Profiler::new()
+    } else {
+        Profiler::disabled()
+    }
+}
+
+/// Finishes `sub`, emits its tree as a `span` event with its `profile`
+/// companion (charged to `charge`'s unit, or host wall time for `None`),
+/// and folds the tree into `prof`. A disabled `sub` does nothing.
+pub(crate) fn emit_tree(
+    sink: &mut dyn TraceSink,
+    prof: &mut Profiler,
+    sub: Profiler,
+    charge: Option<BackendKind>,
+    round: u32,
+    superstep: u32,
+    phase: &str,
+) {
+    if !sub.is_enabled() {
+        return;
+    }
+    let tree = sub.finish();
+    if sink.enabled() {
+        sink.emit(TraceEvent::Span {
+            round,
+            superstep,
+            phase: phase.to_string(),
+            root: tree.clone(),
+        });
+        sink.emit(profile_event(charge, round, superstep, phase, &tree));
+    }
+    prof.absorb(tree);
+}
+
+/// Runs `contract` in a `contract` span that carries the phase-2 counters
+/// every driver reports: the fine graph's `vertices` and `arcs`, the
+/// resulting `communities`, and `elapsed_ns`.
+pub(crate) fn contract_span(
+    prof: &mut Profiler,
+    g: &Graph,
+    contract: impl FnOnce(&mut Profiler) -> Coarsened,
+) -> Coarsened {
+    prof.scope("contract", |p| {
+        let started = Instant::now();
+        let coarse = contract(p);
+        p.count("vertices", g.num_vertices() as u64);
+        p.count("arcs", g.num_arcs() as u64);
+        p.count("communities", coarse.num_communities as u64);
+        p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
+        coarse
+    })
+}
+
+/// Times `f` as a wall-clock `decide` span with one `cpu` kernel child over
+/// `items` vertices.
+pub(crate) fn host_decide<R>(p: &mut Profiler, items: usize, f: impl FnOnce() -> R) -> R {
+    p.scope("decide", |p| {
+        let started = Instant::now();
+        let out = p.scope("cpu", |p| {
+            let out = f();
+            p.count("items", items as u64);
+            out
+        });
+        p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
+        out
+    })
+}
+
+/// Runs a phase 1 that is one indivisible host pass (sequential Louvain,
+/// Leiden's local moving) as superstep 0 of `round`, traced like a
+/// superstep around [`host_decide`].
+pub(crate) fn host_pass<R>(
+    sink: &mut dyn TraceSink,
+    prof: &mut Profiler,
+    round: u32,
+    items: usize,
+    f: impl FnOnce() -> R,
+) -> R {
+    let mut sub = sub_profiler(sink, prof);
+    let out = sub.scope("superstep", |p| host_decide(p, items, f));
+    emit_tree(sink, prof, sub, None, round, 0, "phase1");
+    out
+}
+
+/// BSP phase 1's per-superstep bookkeeping: dip-tolerant convergence and
+/// progress. Simultaneous greedy moves can overshoot and *lower* Q, but on
+/// weak-community graphs the optimum lies beyond several such dips.
+/// Following Grappolo's heuristics, phase 1 keeps going with bounded
+/// patience and ends in the best state seen, so a round never finishes
+/// below its peak and Theorem 6's guarantees carry to the system level.
+pub(crate) struct Phase1Tracker {
+    best: BspState,
+    best_q: f64,
+    stagnant: usize,
+    theta: f64,
+    patience: usize,
+    progress: ProgressReporter,
+    round: u32,
+    supersteps: u32,
+    arcs: u64,
+    /// Active and moved vertices of the latest superstep.
+    last: (usize, usize),
+}
+
+impl Phase1Tracker {
+    /// Starts `driver`'s phase 1 of `round` from the initial `state` at
+    /// modularity `q` (a round may never end below its start).
+    pub(crate) fn new(
+        driver: &'static str,
+        round: u32,
+        state: &BspState,
+        q: f64,
+        theta: f64,
+        patience: usize,
+    ) -> Self {
+        Self {
+            best: state.clone(),
+            best_q: q,
+            stagnant: 0,
+            theta,
+            patience,
+            progress: ProgressReporter::new(driver),
+            round,
+            supersteps: 0,
+            arcs: 0,
+            last: (0, 0),
+        }
+    }
+
+    /// Records a superstep that evaluated `active` vertices, moved `moved`
+    /// and left `state` at `q`; returns whether phase 1 should stop.
+    /// Progress is measured against the best state, never the previous
+    /// superstep: a θ-sized up-tick inside an oscillation is no convergence.
+    pub(crate) fn step(
+        &mut self,
+        graph: &Graph,
+        state: &BspState,
+        q: f64,
+        active: usize,
+        moved: usize,
+    ) -> bool {
+        // Each superstep sweeps the active vertices' arcs; the estimate
+        // scales the graph's arc count by the active fraction.
+        let n = graph.num_vertices();
+        if n > 0 {
+            self.arcs += (graph.num_arcs() as u64).saturating_mul(active as u64) / n as u64;
+        }
+        let counts = Counts::from_counts(active, moved, n, self.arcs);
+        (self.progress).superstep(self.round, "phase1", self.supersteps, q, counts);
+        self.supersteps += 1;
+        self.last = (active, moved);
+        if q > self.best_q {
+            self.best = state.clone();
+            if q > self.best_q + self.theta {
+                self.stagnant = 0; // meaningful progress (Grappolo's θ rule)
+            } else {
+                self.stagnant += 1;
+            }
+            self.best_q = q;
+        } else {
+            self.stagnant += 1;
+        }
+        moved == 0 || self.stagnant > self.patience
+    }
+
+    /// Puts `state` back to the best state if it ended below it; returns
+    /// the best modularity.
+    pub(crate) fn restore(&mut self, state: &mut BspState, graph: &Graph) -> f64 {
+        if state.modularity(graph) < self.best_q {
+            std::mem::swap(state, &mut self.best);
+        }
+        self.best_q
+    }
+
+    /// [`Self::restore`], then one deterministic `progress` event for the
+    /// round.
+    pub(crate) fn finish(
+        mut self,
+        sink: &mut dyn TraceSink,
+        state: &mut BspState,
+        graph: &Graph,
+    ) -> f64 {
+        let best_q = self.restore(state, graph);
+        let (active, moved) = self.last;
+        let counts = Counts::from_counts(active, moved, graph.num_vertices(), self.arcs);
+        (self.progress).round(sink, self.round, "phase1", self.supersteps, best_q, counts);
+        best_q
+    }
+}

@@ -5,15 +5,12 @@
 //! assignment. This is the quality gold standard the parallel versions are
 //! compared against, and the slowest baseline of Figure 5.
 
-use crate::modularity::{gain_score, modularity};
-use crate::progress::{Counts, ProgressReporter};
+use crate::leiden::{local_move, LeidenConfig, SweepScratch};
+use crate::rounds::{self, Driver, Phase1};
 use gala_gpu::profile::Profiler;
-use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
 use gala_graph::partition::CommunityId;
-use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{NullSink, TraceEvent, TraceSink};
-use std::collections::HashMap;
-use std::time::Instant;
+use gala_graph::{Graph, Partition};
+use gala_telemetry::{NullSink, TraceSink};
 
 /// Configuration for the sequential baseline.
 #[derive(Clone, Copy, Debug)]
@@ -65,204 +62,54 @@ pub fn sequential_louvain_instrumented(
     sink: &mut dyn TraceSink,
     prof: &mut Profiler,
 ) -> SequentialResult {
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "sequential".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: 1,
-        });
-    }
-    let instrumented = prof.is_enabled() || sink.enabled();
-    let mut current: Option<Graph> = None;
-    let mut flat: Option<Partition> = None;
-    let mut rounds = 0;
-    let mut cscratch = CoarsenScratch::default();
-    // One deterministic `progress` event per round (sequential phase 1 is
-    // one indivisible host pass, so there is no superstep granularity).
-    let mut progress = ProgressReporter::new("sequential");
-    for round in 0..config.max_rounds {
-        let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
-        let assignment = sub.scope("superstep", |p| {
-            p.scope("decide", |p| {
-                let started = Instant::now();
-                let assignment = p.scope("cpu", |p| {
-                    let assignment = phase1(g, config.theta, config.max_sweeps);
-                    p.count("items", g.num_vertices() as u64);
-                    assignment
-                });
-                p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                assignment
-            })
-        });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 0,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    0,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        rounds += 1;
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
-        let coarse = sub.scope("contract", |p| {
-            let started = Instant::now();
-            let coarse = coarsen_into(g, &Partition::from_assignment(assignment), &mut cscratch);
-            p.count("vertices", g.num_vertices() as u64);
-            p.count("arcs", g.num_arcs() as u64);
-            p.count("communities", coarse.num_communities as u64);
-            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-            coarse
-        });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 1,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    1,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        prof.exit();
-        let merged_everything = coarse.num_communities == g.num_vertices();
-        flat = Some(match flat {
-            None => coarse.renumbered.clone(),
-            Some(prev) => prev.compose(&coarse.renumbered),
-        });
-        if sink.enabled() || progress.live() {
-            let q = modularity(graph, flat.as_ref().expect("just set"));
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: 1,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            progress.round(
-                sink,
-                round as u32,
-                "phase1",
-                1,
-                q,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: g.num_arcs() as u64,
-                },
-            );
-        }
-        if merged_everything {
-            break;
-        }
-        if let Some(old) = current.take() {
-            cscratch.reclaim_graph(old);
-        }
-        cscratch.reclaim_assignment(coarse.renumbered);
-        current = Some(coarse.graph);
-    }
-    let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
-    let q = modularity(graph, &partition);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity: q,
-            rounds: rounds as u32,
-            // Host-only baseline: no simulated cycles to report.
-            total_cycles: 0.0,
-        });
-    }
+    let spec = rounds::Spec {
+        algorithm: "sequential",
+        devices: 1,
+        max_rounds: config.max_rounds,
+        theta: config.theta,
+        charge: None,
+    };
+    // Phase 1 is Leiden's local moving from singletons at resolution 1.
+    let mut driver = SequentialRounds {
+        moving: LeidenConfig {
+            theta: config.theta,
+            max_sweeps: config.max_sweeps,
+            ..LeidenConfig::default()
+        },
+        sweep: SweepScratch::default(),
+    };
+    let (partition, modularity, rounds) = rounds::run(graph, &spec, &mut driver, sink, prof);
     SequentialResult {
         partition,
-        modularity: q,
+        modularity,
         rounds,
     }
 }
 
-/// One phase-1 pass: repeated sweeps over all vertices with immediate
-/// (sequential-consistent) state updates.
-fn phase1(graph: &Graph, theta: f64, max_sweeps: usize) -> Vec<CommunityId> {
-    let n = graph.num_vertices();
-    let m2 = graph.total_weight();
-    let mut comm: Vec<CommunityId> = (0..n as CommunityId).collect();
-    let mut d_tot: Vec<f64> = (0..n).map(|v| graph.degree_w(v as VertexId)).collect();
-    if m2 == 0.0 {
-        return comm;
-    }
-    let mut agg: HashMap<CommunityId, f64> = HashMap::new();
-    for _ in 0..max_sweeps {
-        let mut sweep_gain = 0.0;
-        for v in 0..n as VertexId {
-            let cv = comm[v as usize];
-            let d_v = graph.degree_w(v);
-            agg.clear();
-            for (u, w) in graph.neighbors(v) {
-                if u != v {
-                    *agg.entry(comm[u as usize]).or_insert(0.0) += w;
-                }
-            }
-            if agg.is_empty() {
-                continue;
-            }
-            // Extract v from its community.
-            d_tot[cv as usize] -= d_v;
-            let stay = gain_score(
-                agg.get(&cv).copied().unwrap_or(0.0),
-                d_v,
-                d_tot[cv as usize],
-                m2,
-            );
-            let mut best_c = cv;
-            let mut best = stay;
-            for (&c, &d_vc) in agg.iter() {
-                if c == cv {
-                    continue;
-                }
-                let score = gain_score(d_vc, d_v, d_tot[c as usize], m2);
-                if score > best || (score == best && c < best_c) {
-                    best = score;
-                    best_c = c;
-                }
-            }
-            d_tot[best_c as usize] += d_v;
-            if best_c != cv {
-                comm[v as usize] = best_c;
-                sweep_gain += 2.0 / m2 * (best - stay);
-            }
-        }
-        if sweep_gain < theta {
-            break;
+/// Sequential Louvain's rounds on the hierarchy engine.
+struct SequentialRounds {
+    moving: LeidenConfig,
+    sweep: SweepScratch,
+}
+
+impl Driver for SequentialRounds {
+    fn phase1(
+        &mut self,
+        g: &Graph,
+        round: u32,
+        sink: &mut dyn TraceSink,
+        prof: &mut Profiler,
+    ) -> Phase1 {
+        let mut comm: Vec<CommunityId> = (0..g.num_vertices() as CommunityId).collect();
+        rounds::host_pass(sink, prof, round, g.num_vertices(), || {
+            local_move(g, &mut comm, &self.moving, &mut self.sweep)
+        });
+        Phase1 {
+            communities: Partition::from_assignment(comm),
+            supersteps: 1,
+            q: None,
         }
     }
-    comm
 }
 
 #[cfg(test)]
@@ -313,7 +160,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_emits_host_profile_events() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = sequential_louvain(&g, SequentialConfig::default());
         let mut sink = VecSink::default();
