@@ -10,7 +10,7 @@
 use crate::kernels::cpu;
 use crate::louvain::LouvainConfig;
 use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
-use crate::state::BspState;
+use crate::state::{BspState, MoveSummary};
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::profile::Profiler;
 use gala_graph::{Graph, Partition};
@@ -61,21 +61,21 @@ fn phase1_profiled(
     let q = state.modularity(graph);
     let mut tracker = Phase1Tracker::new("grappolo", round, &state, q, theta, patience);
     let mut iterations = 0;
-    // No pruning: the all-active mask never changes, and the decide output
-    // and the fold's aggregators are recycled across supersteps like
-    // louvain.rs's Phase1Scratch.
+    // No pruning: the all-active mask never changes, and the decide output,
+    // the fold's aggregators and the move list are recycled across
+    // supersteps like louvain.rs's Phase1Scratch.
     let active = vec![true; graph.num_vertices()];
     let mut out = crate::kernels::DecideOutput::default();
     let mut aggs = Vec::new();
+    let mut summary = MoveSummary::default();
     for iteration in 0..max_iterations {
         let mut sub = rounds::sub_profiler(sink, prof);
         rounds::host_decide(&mut sub, graph.num_vertices(), || {
             cpu::decide_into(graph, &state, &active, &mut aggs, &mut out)
         });
-        let summary = sub.scope("apply", |p| {
-            let summary = state.apply_moves(graph, &out.next_comm);
+        sub.scope("apply", |p| {
+            state.apply_moves_into(graph, &out.next_comm, &mut summary);
             p.count("moved", summary.num_moved() as u64);
-            summary
         });
         sub.scope("weight_update", |p| {
             let started = Instant::now();

@@ -7,7 +7,7 @@ use crate::kernels::hashtable::TableStats;
 use crate::kernels::{self, KernelKind};
 use crate::pruning::{self, PruningKind};
 use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
-use crate::state::BspState;
+use crate::state::{BspState, MoveSummary};
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;
@@ -261,6 +261,12 @@ impl Louvain {
             decide: dscratch,
             out,
         } = scratch;
+        // The move list and the weight update's buffers are recycled
+        // within the round only: kept across rounds, their first-superstep
+        // capacity would stay resident while phase 2 allocates, raising
+        // the process's peak RSS.
+        let summary = &mut MoveSummary::default();
+        let wscratch = &mut weight::WeightScratch::default();
         let mut state = BspState::with_resolution(graph, cfg.resolution);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ round as u64);
         let mut iterations = Vec::new();
@@ -275,23 +281,22 @@ impl Louvain {
         for iteration in 0..cfg.max_iterations {
             let mut sub = rounds::sub_profiler(sink, prof);
             let t0 = Instant::now();
-            sub.scope("classify", |p| {
+            let num_active = sub.scope("classify", |p| {
                 pruning::classify_into(cfg.pruning, graph, &state, &mut rng, active);
-                let num_active = active.iter().filter(|&&a| a).count() as u64;
-                p.count("active", num_active);
-                p.count("pruned", graph.num_vertices() as u64 - num_active);
+                let num_active = active.iter().filter(|&&a| a).count();
+                p.count("active", num_active as u64);
+                p.count("pruned", (graph.num_vertices() - num_active) as u64);
+                num_active
             });
-            let num_active = active.iter().filter(|&&a| a).count();
             let t1 = Instant::now();
             backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
             let t2 = Instant::now();
             if let Some(m) = metrics.as_mut() {
                 record_superstep_metrics(m, cfg.kernel, graph, &state, active, out);
             }
-            let summary = sub.scope("apply", |p| {
-                let summary = state.apply_moves(graph, &out.next_comm);
+            sub.scope("apply", |p| {
+                state.apply_moves_into(graph, &out.next_comm, summary);
                 p.count("moved", summary.num_moved() as u64);
-                summary
             });
             if let Some(m) = metrics.as_mut() {
                 let moved = summary.num_moved() as u64;
@@ -301,7 +306,8 @@ impl Louvain {
             }
             let t3 = Instant::now();
             let weight_tally = sub.scope("weight_update", |p| {
-                let tally = weight::update(cfg.weight_update, graph, &mut state, &summary);
+                let tally =
+                    weight::update_into(cfg.weight_update, graph, &mut state, summary, wscratch);
                 p.record(&tally);
                 tally
             });

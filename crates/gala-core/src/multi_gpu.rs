@@ -27,7 +27,7 @@ use crate::louvain::LouvainConfig;
 use crate::mg_contract::{self, ContractRoundStats};
 use crate::pruning::{self, PruningKind};
 use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
-use crate::state::BspState;
+use crate::state::{BspState, MoveSummary};
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
@@ -301,15 +301,17 @@ fn run_phase1_round(
     let mut device_active: Vec<bool> = Vec::new();
     let mut dscratch = kernels::DecideScratch::default();
     let mut dev_out = kernels::DecideOutput::default();
+    let mut summary = MoveSummary::default();
+    let mut wscratch = weight::WeightScratch::default();
     for iteration in 0..cfg.max_iterations {
         let mut sub = rounds::sub_profiler(sink, prof);
-        sub.scope("classify", |p| {
+        let num_active = sub.scope("classify", |p| {
             pruning::classify_into(cfg.pruning, graph, &state, &mut rng, &mut active);
-            let num_active = active.iter().filter(|&&a| a).count() as u64;
-            p.count("active", num_active);
-            p.count("pruned", n as u64 - num_active);
+            let num_active = active.iter().filter(|&&a| a).count();
+            p.count("active", num_active as u64);
+            p.count("pruned", (n - num_active) as u64);
+            num_active
         });
-        let num_active = active.iter().filter(|&&a| a).count();
 
         // Each device decides over its owned range; the per-device kernel
         // spans merge by name into one `decide` subtree.
@@ -395,13 +397,18 @@ fn run_phase1_round(
             m.inc("phase1/moved", num_moved as u64);
             m.inc("phase1/supersteps", 1);
         }
-        let summary = sub.scope("apply", |p| {
-            let summary = state.apply_moves(graph, &next_comm);
+        sub.scope("apply", |p| {
+            state.apply_moves_into(graph, &next_comm, &mut summary);
             p.count("moved", summary.num_moved() as u64);
-            summary
         });
         let weight_tally = sub.scope("weight_update", |p| {
-            let tally = weight::update(cfg.weight_update, graph, &mut state, &summary);
+            let tally = weight::update_into(
+                cfg.weight_update,
+                graph,
+                &mut state,
+                &summary,
+                &mut wscratch,
+            );
             p.record(&tally);
             tally
         });

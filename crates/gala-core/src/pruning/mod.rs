@@ -307,6 +307,8 @@ pub fn evaluate_on_baseline(
     let mut totals = vec![PredictionStats::default(); kinds.len()];
     let mut per_iter: Vec<Vec<PredictionStats>> = vec![Vec::new(); kinds.len()];
     let mut prev_q = state.modularity(graph);
+    let mut summary = crate::state::MoveSummary::default();
+    let mut wscratch = weight::WeightScratch::default();
     for _ in 0..max_iterations {
         let predictions: Vec<Vec<bool>> = kinds
             .iter()
@@ -330,8 +332,14 @@ pub fn evaluate_on_baseline(
                 per_iter[i].push(s);
             }
         }
-        let summary = state.apply_moves(graph, &out.next_comm);
-        weight::update(WeightUpdateMode::Delta, graph, &mut state, &summary);
+        state.apply_moves_into(graph, &out.next_comm, &mut summary);
+        weight::update_into(
+            WeightUpdateMode::Delta,
+            graph,
+            &mut state,
+            &summary,
+            &mut wscratch,
+        );
         let q = state.modularity(graph);
         if summary.num_moved() == 0 || q - prev_q < theta {
             break;

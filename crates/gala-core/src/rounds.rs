@@ -370,7 +370,7 @@ impl Phase1Tracker {
         self.supersteps += 1;
         self.last = (active, moved);
         if q > self.best_q {
-            self.best = state.clone();
+            self.best.clone_from(state);
             if q > self.best_q + self.theta {
                 self.stagnant = 0; // meaningful progress (Grappolo's θ rule)
             } else {

@@ -19,7 +19,7 @@ use gala_graph::{Graph, Partition, VertexId};
 use rayon::prelude::*;
 
 /// Mutable state carried across BSP supersteps of Louvain phase 1.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BspState {
     /// Cached `2|E|`.
     pub m2: f64,
@@ -124,7 +124,7 @@ impl BspState {
     /// the *naive* weight maintenance of Algorithm 1 lines 6–7.
     pub fn recompute_d_self(&mut self, graph: &Graph) {
         let comm = &self.comm;
-        self.d_self = (0..graph.num_vertices() as VertexId)
+        (0..graph.num_vertices() as VertexId)
             .into_par_iter()
             .map(|v| {
                 let cv = comm[v as usize];
@@ -134,7 +134,7 @@ impl BspState {
                     .map(|(_, w)| w)
                     .sum()
             })
-            .collect();
+            .collect_into_vec(&mut self.d_self);
     }
 
     /// Applies the superstep's decisions: updates `comm`, `d_tot`,
@@ -142,29 +142,46 @@ impl BspState {
     /// touch `d_self` — that is the weight-maintenance step's job (see
     /// [`crate::weight`]).
     pub fn apply_moves(&mut self, graph: &Graph, next_comm: &[CommunityId]) -> MoveSummary {
+        let mut summary = MoveSummary::default();
+        self.apply_moves_into(graph, next_comm, &mut summary);
+        summary
+    }
+
+    /// [`Self::apply_moves`] into a recycled summary (its previous moves
+    /// are discarded). One pass over `next_comm` finds the moves and sets
+    /// the `moved` flags, and the totals and ids are updated over the moves
+    /// only, in ascending vertex order (the float order of a serial
+    /// sweep). The `O(n)` rest is a `comm_changed` memset and a
+    /// vectorised `min_d_tot` scan.
+    pub fn apply_moves_into(
+        &mut self,
+        graph: &Graph,
+        next_comm: &[CommunityId],
+        summary: &mut MoveSummary,
+    ) {
         assert_eq!(next_comm.len(), self.comm.len());
-        let mut moves = Vec::new();
-        self.comm_changed.iter_mut().for_each(|c| *c = false);
-        for (v, &new) in next_comm.iter().enumerate() {
-            let old = self.comm[v];
+        let moves = &mut summary.moves;
+        moves.clear();
+        let flags = next_comm.iter().zip(&self.comm).zip(&mut self.moved);
+        for (v, ((&new, &old), moved)) in flags.enumerate() {
+            *moved = old != new;
             if old != new {
                 moves.push((v as VertexId, old, new));
-                self.moved[v] = true;
-                let d_v = graph.degree_w(v as VertexId);
-                self.d_tot[old as usize] -= d_v;
-                self.d_tot[new as usize] += d_v;
-                self.comm_size[old as usize] -= 1;
-                self.comm_size[new as usize] += 1;
-                self.comm_changed[old as usize] = true;
-                self.comm_changed[new as usize] = true;
-                self.comm[v] = new;
-            } else {
-                self.moved[v] = false;
             }
+        }
+        self.comm_changed.fill(false);
+        for &(v, old, new) in moves.iter() {
+            let d_v = graph.degree_w(v);
+            self.d_tot[old as usize] -= d_v;
+            self.d_tot[new as usize] += d_v;
+            self.comm_size[old as usize] -= 1;
+            self.comm_size[new as usize] += 1;
+            self.comm[v as usize] = new;
+            self.comm_changed[old as usize] = true;
+            self.comm_changed[new as usize] = true;
         }
         self.min_d_tot = non_empty_min(&self.d_tot, &self.comm_size);
         self.iteration += 1;
-        MoveSummary { moves }
     }
 
     /// Generalised modularity of the current assignment in `O(n)` from the
@@ -192,12 +209,60 @@ impl BspState {
     }
 }
 
+/// Copies reuse the destination's allocations in `clone_from`, so a
+/// driver can snapshot its best state every superstep without allocating.
+impl Clone for BspState {
+    fn clone(&self) -> Self {
+        let mut copy = Self {
+            m2: self.m2,
+            resolution: self.resolution,
+            comm: Vec::new(),
+            d_self: Vec::new(),
+            d_tot: Vec::new(),
+            comm_size: Vec::new(),
+            moved: Vec::new(),
+            comm_changed: Vec::new(),
+            min_d_tot: self.min_d_tot,
+            iteration: self.iteration,
+        };
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            m2,
+            resolution,
+            comm,
+            d_self,
+            d_tot,
+            comm_size,
+            moved,
+            comm_changed,
+            min_d_tot,
+            iteration,
+        } = source;
+        self.m2 = *m2;
+        self.resolution = *resolution;
+        self.comm.clone_from(comm);
+        self.d_self.clone_from(d_self);
+        self.d_tot.clone_from(d_tot);
+        self.comm_size.clone_from(comm_size);
+        self.moved.clone_from(moved);
+        self.comm_changed.clone_from(comm_changed);
+        self.min_d_tot = *min_d_tot;
+        self.iteration = *iteration;
+    }
+}
+
+/// `min_C D_V(C)` over non-empty communities. Empty slots map to `∞`
+/// instead of being filtered out, so the loop has no branch and the
+/// compiler vectorises the `min` reduction (exact in any order).
 fn non_empty_min(d_tot: &[f64], comm_size: &[u32]) -> f64 {
     d_tot
         .iter()
         .zip(comm_size)
-        .filter(|&(_, &size)| size > 0)
-        .map(|(&dt, _)| dt)
+        .map(|(&dt, &size)| if size > 0 { dt } else { f64::INFINITY })
         .fold(f64::INFINITY, f64::min)
 }
 

@@ -12,11 +12,28 @@
 //!   depending on whether `v` left or joined `u`'s community; moved vertices
 //!   rescan only themselves. Cost is proportional to the moved vertices'
 //!   edges — the stage-P2 fix.
+//!
+//! ## The delta update's order
+//!
+//! One parallel pass over the move list (ascending vertex order, cut into
+//! contiguous chunks) rescans each moved vertex into a recycled buffer and
+//! pushes every neighbor adjustment `(u, ±w)` into its chunk's bucket for
+//! `u`'s *owner block*, a fixed range of vertex ids. A second parallel pass
+//! gives each owner block to one worker, which walks the chunks' buckets in
+//! chunk order and adds them to its `d_self` range. So `u` receives its
+//! adjustments in chunk order, and within a chunk in move order: in
+//! ascending order of the moved vertex, whatever the chunk boundaries. A
+//! moved vertex meets `u` at most once (adjacency lists are strictly
+//! sorted), so that order is total, and the float sum — hence `d_self` —
+//! is the same bits at every pool width. No lock or atomic guards an
+//! adjustment: chunks own their buckets, blocks own their `d_self` ranges
+//! (each chunk takes one lock, to fetch a recycled bucket set).
 
 use crate::state::{BspState, MoveSummary};
 use gala_gpu::memory::{MemTally, Space};
 use gala_graph::{Graph, VertexId};
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// How to maintain `d_self` after each superstep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,6 +43,19 @@ pub enum WeightUpdateMode {
     /// Delta propagation from moved vertices (GALA's optimisation).
     #[default]
     Delta,
+}
+
+/// One chunk's neighbor adjustments, bucketed by owner block.
+type Buckets = Vec<Vec<(VertexId, f64)>>;
+
+/// Buffers of the delta update, recycled across supersteps (see
+/// [`update_into`]). Their sizes are bounded by the moved vertices' arcs.
+#[derive(Debug, Default)]
+pub struct WeightScratch {
+    /// The moved vertices' rescanned `d_self`, parallel to the move list.
+    fresh: Vec<f64>,
+    /// Cleared bucket sets, handed to the chunks of the next update.
+    spare: Mutex<Vec<Buckets>>,
 }
 
 /// Updates `state.d_self` for the moves of the just-applied superstep.
@@ -41,6 +71,18 @@ pub fn update(
     graph: &Graph,
     state: &mut BspState,
     summary: &MoveSummary,
+) -> MemTally {
+    update_into(mode, graph, state, summary, &mut WeightScratch::default())
+}
+
+/// [`update`] with its buffers recycled through `scratch`: the drivers keep
+/// one alive across supersteps.
+pub fn update_into(
+    mode: WeightUpdateMode,
+    graph: &Graph,
+    state: &mut BspState,
+    summary: &MoveSummary,
+    scratch: &mut WeightScratch,
 ) -> MemTally {
     let mut tally = MemTally::new();
     match mode {
@@ -66,7 +108,7 @@ pub fn update(
                 tally.load(Space::Global, 3 * graph.num_arcs() as u64);
                 tally.store(Space::Global, graph.num_vertices() as u64);
             } else {
-                let deltas = update_delta(graph, state, summary);
+                let deltas = update_delta(graph, state, summary, scratch);
                 // Two passes over the moved vertices' adjacency (notify +
                 // own rescan), 3 loads per arc; an atomicAdd only for the
                 // neighbors whose d_self actually changes.
@@ -79,60 +121,86 @@ pub fn update(
     tally
 }
 
-/// Applies the delta update; returns the number of neighbor `d_self`
-/// adjustments actually performed.
-fn update_delta(graph: &Graph, state: &mut BspState, summary: &MoveSummary) -> u64 {
-    // Phase 1: moved vertices notify their *unmoved* neighbors. Deltas are
-    // gathered per move in parallel, then applied in deterministic vertex
-    // order (float addition order is fixed regardless of thread schedule).
-    let moved = &state.moved;
-    let comm = &state.comm;
-    let deltas: Vec<(VertexId, f64)> = summary
-        .moves
-        .par_iter()
-        .flat_map_iter(|&(v, old, new)| {
-            graph.neighbors(v).filter_map(move |(u, w)| {
-                if u == v || moved[u as usize] {
-                    return None; // moved neighbors rescan themselves in phase 2
-                }
-                let cu = comm[u as usize];
-                let mut delta = 0.0;
-                if cu == old {
-                    delta -= w;
-                }
-                if cu == new {
-                    delta += w;
-                }
-                (delta != 0.0).then_some((u, delta))
-            })
-        })
-        .collect();
-    let mut sorted = deltas;
-    sorted.sort_unstable_by_key(|&(u, _)| u);
-    let num_deltas = sorted.len() as u64;
-    for (u, delta) in sorted {
-        state.d_self[u as usize] += delta;
+/// Applies the delta update in the order the module doc describes;
+/// returns the number of neighbor `d_self` adjustments performed.
+fn update_delta(
+    graph: &Graph,
+    state: &mut BspState,
+    summary: &MoveSummary,
+    scratch: &mut WeightScratch,
+) -> u64 {
+    let n = graph.num_vertices();
+    if summary.moves.is_empty() {
+        return 0;
     }
+    let blocks = (rayon::current_parallelism() * 4).min(n);
+    let block_len = n.div_ceil(blocks);
+    let (fresh, spare) = (&mut scratch.fresh, &scratch.spare);
+    let take_buckets = || {
+        let mut buckets = spare
+            .lock()
+            .expect("bucket pool poisoned")
+            .pop()
+            .unwrap_or_default();
+        buckets.resize_with(blocks, Vec::new);
+        buckets
+    };
 
-    // Phase 2: moved vertices recompute their own d_self from scratch.
-    let comm = &state.comm;
-    let fresh: Vec<(VertexId, f64)> = summary
-        .moves
-        .par_iter()
-        .map(|&(v, _, _)| {
-            let cv = comm[v as usize];
-            let d: f64 = graph
-                .neighbors(v)
-                .filter(|&(u, _)| u != v && comm[u as usize] == cv)
-                .map(|(_, w)| w)
-                .sum();
-            (v, d)
-        })
-        .collect();
-    for (v, d) in fresh {
+    // Pass 1: each moved vertex rescans its own d_self and notifies its
+    // *unmoved* neighbors (moved ones rescan themselves).
+    let (moved, comm) = (&state.moved, &state.comm);
+    let chunks = rayon::par_map_accum_into(
+        &summary.moves,
+        fresh,
+        take_buckets,
+        |&(v, old, new), buckets: &mut Buckets| {
+            // The rescan adds `-0.0` for a neighbor outside `new`: an exact
+            // identity, so `d` equals the filtered sum of a full rescan,
+            // but the loop needs no branch on a coin-flip comparison.
+            let mut d = -0.0;
+            for (u, w) in graph.neighbors(v) {
+                let cu = comm[u as usize];
+                let other = u != v;
+                d += if other & (cu == new) { w } else { -0.0 };
+                // The one branch: few arcs notify.
+                if other & !moved[u as usize] & ((cu == old) | (cu == new)) {
+                    let delta = if cu == new { w } else { -w };
+                    if delta != 0.0 {
+                        buckets[u as usize / block_len].push((u, delta));
+                    }
+                }
+            }
+            d
+        },
+    );
+
+    // Pass 2: each owner block applies its adjustments, chunk by chunk.
+    state
+        .d_self
+        .par_chunks_mut(block_len)
+        .enumerate()
+        .for_each(|(b, d_self)| {
+            let base = b * block_len;
+            for buckets in &chunks {
+                for &(u, delta) in &buckets[b] {
+                    d_self[u as usize - base] += delta;
+                }
+            }
+        });
+    for (&(v, _, _), &d) in summary.moves.iter().zip(fresh.iter()) {
         state.d_self[v as usize] = d;
     }
 
+    let num_deltas = chunks
+        .iter()
+        .flatten()
+        .map(|bucket| bucket.len() as u64)
+        .sum();
+    let spare = scratch.spare.get_mut().expect("bucket pool poisoned");
+    for mut buckets in chunks {
+        buckets.iter_mut().for_each(Vec::clear);
+        spare.push(buckets);
+    }
     num_deltas
 }
 

@@ -31,6 +31,9 @@ pub struct Graph {
     degree_w: Vec<f64>,
     /// Cached `2|E| = Σ_v d(v)`.
     total_weight: f64,
+    /// Cached self-loop weight per vertex; empty when the graph has no
+    /// self-loop, so a loop-free graph pays no memory for it.
+    self_loops: Vec<f64>,
 }
 
 impl Graph {
@@ -71,17 +74,7 @@ impl Graph {
                 assert!((u as usize) < n, "target {u} out of range (n = {n})");
             }
         }
-        let mut degree_w = vec![0.0f64; n];
-        for v in 0..n {
-            degree_w[v] = weights[offsets[v]..offsets[v + 1]].iter().sum();
-        }
-        let graph = Self {
-            total_weight: degree_w.iter().sum(),
-            offsets,
-            targets,
-            weights,
-            degree_w,
-        };
+        let graph = Self::with_caches(offsets, targets, weights);
         graph.assert_symmetric();
         graph
     }
@@ -102,11 +95,36 @@ impl Graph {
         debug_assert_eq!(offsets[0], 0);
         debug_assert_eq!(*offsets.last().unwrap(), targets.len());
         debug_assert_eq!(targets.len(), weights.len());
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        Self::with_caches(offsets, targets, weights)
+    }
+
+    /// Wraps checked CSR arrays, computing the per-vertex caches in one
+    /// pass over the arcs: the weighted degree (summed in adjacency order)
+    /// and the self-loop weight, found on the way.
+    fn with_caches(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<f64>) -> Self {
         let n = offsets.len() - 1;
         let mut degree_w = vec![0.0f64; n];
+        let mut self_loops = Vec::new();
         for v in 0..n {
-            debug_assert!(offsets[v] <= offsets[v + 1]);
-            degree_w[v] = weights[offsets[v]..offsets[v + 1]].iter().sum();
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            // `-0.0` is `Sum`'s neutral element: an isolated vertex keeps
+            // the degree `iter().sum()` gives it.
+            let mut d = -0.0;
+            let mut self_loop = None;
+            for (&u, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+                d += w;
+                if u as usize == v {
+                    self_loop = Some(w);
+                }
+            }
+            degree_w[v] = d;
+            if let Some(w) = self_loop {
+                if self_loops.is_empty() {
+                    self_loops = vec![0.0; n];
+                }
+                self_loops[v] = w;
+            }
         }
         Self {
             total_weight: degree_w.iter().sum(),
@@ -114,6 +132,7 @@ impl Graph {
             targets,
             weights,
             degree_w,
+            self_loops,
         }
     }
 
@@ -203,10 +222,15 @@ impl Graph {
         Some(self.neighbor_weights(v)[idx])
     }
 
-    /// Self-loop weight of `v` (its doubled contribution), or 0.
+    /// Self-loop weight of `v` (its doubled contribution), or 0. `O(1)`:
+    /// read from a cache the constructors fill.
     #[inline]
     pub fn self_loop(&self, v: VertexId) -> f64 {
-        self.edge_weight(v, v).unwrap_or(0.0)
+        if self.self_loops.is_empty() {
+            0.0
+        } else {
+            self.self_loops[v as usize]
+        }
     }
 
     /// Iterator over all vertex ids.

@@ -6,8 +6,11 @@
 //! * the v2 binary container round-trips bit-for-bit through both the
 //!   owned and the mapped loader;
 //! * `reorder::apply` with an ordering and then its inverse is the
-//!   identity, on graphs and on partitions.
+//!   identity, on graphs and on partitions;
+//! * every constructor path fills the `O(1)` self-loop cache with exactly
+//!   what a binary search of the adjacency finds.
 
+use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
 use gala_graph::reorder::{self, Ordering};
 use gala_graph::stream::StreamingBuilder;
 use gala_graph::{io, Graph, GraphBuilder, Partition};
@@ -39,6 +42,22 @@ fn assert_bit_identical(a: &Graph, b: &Graph) {
     let wa: Vec<u64> = a.weights().iter().map(|w| w.to_bits()).collect();
     let wb: Vec<u64> = b.weights().iter().map(|w| w.to_bits()).collect();
     assert_eq!(wa, wb);
+}
+
+/// `Graph::self_loop` (cached) against a binary search of `v`'s own
+/// adjacency, for every vertex.
+fn assert_self_loops_match_lookup(g: &Graph, path: &str) {
+    for v in g.vertices() {
+        let ids = g.neighbor_ids(v);
+        let lookup = ids
+            .binary_search(&v)
+            .map_or(0.0, |i| g.neighbor_weights(v)[i]);
+        assert_eq!(
+            g.self_loop(v).to_bits(),
+            lookup.to_bits(),
+            "{path}: vertex {v}"
+        );
+    }
 }
 
 static FILE_SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -108,5 +127,39 @@ proptest! {
         for v in g.vertices() {
             prop_assert_eq!(p.community_of(v), p2.community_of(v));
         }
+    }
+
+    /// The self-loop cache agrees with the adjacency on graphs from the
+    /// builder, `coarsen_into` (whose super-vertices all carry loops), the
+    /// v2 container (owned and mapped loads) and `reorder::apply`, with
+    /// and without self-loops in the input.
+    #[test]
+    fn self_loop_cache_matches_adjacency_on_every_path(
+        edges in arb_edges(16, 40),
+        labels in proptest::collection::vec(0u32..4, 16),
+        drop_loops in any::<bool>(),
+    ) {
+        let edges: Vec<_> = edges
+            .into_iter()
+            .filter(|&(u, v, _)| !(drop_loops && u == v))
+            .collect();
+        let g = build_reference(16, &edges);
+        assert_self_loops_match_lookup(&g, "builder");
+
+        let coarse = coarsen_into(&g, &Partition::from_assignment(labels), &mut CoarsenScratch::default());
+        assert_self_loops_match_lookup(&coarse.graph, "coarsen_into");
+
+        assert_self_loops_match_lookup(&io::from_bytes(&io::to_bytes(&g)).unwrap(), "v2 bytes");
+        let serial = FILE_SERIAL.fetch_add(1, AtomicOrdering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "gala-ingest-loops-{}-{serial}.bin",
+            std::process::id()
+        ));
+        io::save_binary(&g, &path).unwrap();
+        let mapped = io::load_binary_mapped(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_self_loops_match_lookup(mapped.graph(), "mapped");
+
+        assert_self_loops_match_lookup(&reorder::apply(&g, &reorder::degree_order(&g)), "reordered");
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The build container has no access to crates.io, so the workspace vendors
 //! the slice of `rayon` it uses: `par_iter` / `into_par_iter` over slices,
-//! `Vec`s and integer ranges, with `map`, `flat_map_iter`, `filter`,
-//! `fold` + `reduce`, `sum`, `collect`, and `for_each`.
+//! `Vec`s and integer ranges, with `map`, `filter`, `fold` + `reduce`,
+//! `sum`, `collect`, and `for_each`, plus `par_chunks_mut` over mutable
+//! slices.
 //!
 //! Unlike the original shim — which spawned fresh `std::thread::scope`
 //! threads and deep-copied items into owned `Vec<Vec<T>>` chunks on every
@@ -179,22 +180,6 @@ impl<S: Source> ParIter<S> {
         }
     }
 
-    /// Maps each item to a serial iterator and concatenates the results in
-    /// input order.
-    pub fn flat_map_iter<U, F>(self, f: F) -> ParVec<U::Item>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(S::Item) -> U + Sync,
-    {
-        let src = self.source;
-        let nested =
-            pool::par_collect_indexed(src.len(), |i| f(src.get(i)).into_iter().collect::<Vec<_>>());
-        ParVec {
-            items: nested.into_iter().flatten().collect(),
-        }
-    }
-
     /// Keeps the items satisfying `pred` (items are computed in parallel,
     /// the filter itself is applied in input order).
     pub fn filter<F>(self, pred: F) -> ParVec<S::Item>
@@ -306,7 +291,7 @@ impl<S: Source> ParIter<S> {
 }
 
 /// An eagerly-evaluated parallel iterator over owned items — the result of
-/// `Vec::into_par_iter`, `flat_map_iter`, `filter`, or `fold`. Owned items
+/// `Vec::into_par_iter`, `filter`, or `fold`. Owned items
 /// cannot be re-produced from a borrowed backing store without forcing
 /// `T: Clone` on callers, and every workspace use sits on a cold path, so
 /// adaptors here run sequentially.
@@ -323,19 +308,6 @@ impl<T: Send> ParVec<T> {
     {
         ParVec {
             items: self.items.into_iter().map(f).collect(),
-        }
-    }
-
-    /// Maps each item to a serial iterator and concatenates the results in
-    /// input order.
-    pub fn flat_map_iter<U, F>(self, f: F) -> ParVec<U::Item>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        ParVec {
-            items: self.items.into_iter().flat_map(f).collect(),
         }
     }
 
@@ -611,9 +583,75 @@ where
     }
 }
 
+/// Parallel iterator over disjoint mutable chunks of a slice, from
+/// [`ParallelSliceMut::par_chunks_mut`].
+pub struct ChunksMut<'a, T> {
+    slice: &'a mut [T],
+    size: usize,
+}
+
+impl<'a, T: Send> ChunksMut<'a, T> {
+    /// Pairs each chunk with its index (rayon's `enumerate`).
+    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
+        EnumerateChunksMut(self)
+    }
+}
+
+/// [`ChunksMut`] with chunk indices.
+pub struct EnumerateChunksMut<'a, T>(ChunksMut<'a, T>);
+
+impl<T: Send> EnumerateChunksMut<'_, T> {
+    /// Runs `f` on every `(index, chunk)` pair, one pool task per chunk;
+    /// sequentially when the slice is shorter than the parallel threshold.
+    /// Each chunk's `&mut` reaches its worker through a take-once slot.
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn((usize, &mut [T])) + Sync,
+    {
+        let ChunksMut { slice, size } = self.0;
+        if pool::run_sequential(slice.len()) {
+            slice.chunks_mut(size).enumerate().for_each(f);
+            return;
+        }
+        let slots: Vec<Mutex<Option<&mut [T]>>> = slice
+            .chunks_mut(size)
+            .map(|chunk| Mutex::new(Some(chunk)))
+            .collect();
+        pool::execute(slots.len(), &|i| {
+            let chunk = slots[i]
+                .lock()
+                .expect("chunk slot poisoned")
+                .take()
+                .expect("chunk claimed twice");
+            f((i, chunk));
+        });
+    }
+}
+
+/// Parallel operations on mutable slices, mirroring rayon's
+/// `ParallelSliceMut`.
+pub trait ParallelSliceMut<T: Send> {
+    /// Splits the slice into chunks of `size` items (the last may be
+    /// shorter) to be processed in parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is 0.
+    fn par_chunks_mut(&mut self, size: usize) -> ChunksMut<'_, T>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, size: usize) -> ChunksMut<'_, T> {
+        assert!(size != 0, "chunk size must be non-zero");
+        ChunksMut { slice: self, size }
+    }
+}
+
 /// Common re-exports, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter, ParVec, Source};
+    pub use crate::{
+        IntoParallelIterator, IntoParallelRefIterator, ParIter, ParVec, ParallelSliceMut, Source,
+    };
 }
 
 #[cfg(test)]
@@ -644,21 +682,21 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_iter_concatenates_in_order() {
-        let out: Vec<u32> = vec![1u32, 2, 3]
-            .into_par_iter()
-            .flat_map_iter(|x| 0..x)
-            .collect();
-        assert_eq!(out, vec![0, 0, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn slice_flat_map_iter_concatenates_in_order() {
-        let input: Vec<u32> = (0..3000).map(|x| x % 4).collect();
-        let par: Vec<u32> =
-            with_parallelism(8, || input.par_iter().flat_map_iter(|&x| 0..x).collect());
-        let seq: Vec<u32> = input.iter().flat_map(|&x| 0..x).collect();
-        assert_eq!(par, seq);
+    fn par_chunks_mut_hands_out_every_chunk_once() {
+        for (width, len) in [(1, 5000), (4, 5000), (4, 100), (8, 4097)] {
+            let mut items = vec![0usize; len];
+            with_parallelism(width, || {
+                items.par_chunks_mut(64).enumerate().for_each(|(c, chunk)| {
+                    for (j, x) in chunk.iter_mut().enumerate() {
+                        *x += c * 64 + j + 1;
+                    }
+                });
+            });
+            assert!(
+                items.iter().enumerate().all(|(i, &x)| x == i + 1),
+                "width {width} len {len}"
+            );
+        }
     }
 
     #[test]
