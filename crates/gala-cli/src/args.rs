@@ -25,7 +25,8 @@ usage:
                                                validated owned arrays, or the
                                                checksummed mapped container
                                                (default: owned; bin format only)
-      --trace <file>     write a JSONL superstep trace (gala algorithm)
+      --trace <file>     write a JSONL event trace (gala, leiden and
+                         sequential; lpa writes none)
       --report <file>    write a machine-readable JSON run report
       --quiet                                  suppress the report
       --progress         live status line on stderr (plain lines when
@@ -288,7 +289,7 @@ pub struct DetectArgs {
     pub reorder: Reorder,
     /// Binary-graph load path.
     pub store: Store,
-    /// JSONL trace output path (per-superstep events; GALA algorithm).
+    /// JSONL trace output path (every algorithm but label propagation).
     pub trace: Option<String>,
     /// Machine-readable JSON report output path.
     pub report: Option<String>,

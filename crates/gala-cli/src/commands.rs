@@ -6,16 +6,14 @@ use crate::args::{
 };
 use gala_core::backend::BackendKind;
 use gala_core::label_prop::{label_propagation, LabelPropConfig};
-use gala_core::leiden::{leiden_instrumented, LeidenConfig};
+use gala_core::leiden::{leiden_observed, LeidenConfig};
 use gala_core::louvain::LouvainConfig;
 use gala_core::metrics::summarize;
 use gala_core::modularity::modularity_with_resolution;
-use gala_core::multi_gpu::{
-    run_full_instrumented as multi_gpu_full_instrumented,
-    run_phase1_instrumented as multi_gpu_phase1_instrumented, ContractMode, MultiGpuConfig,
-};
+use gala_core::multi_gpu::{self, ContractMode, MultiGpuConfig};
+use gala_core::observe::Observer;
 use gala_core::pruning::PruningKind;
-use gala_core::sequential::{sequential_louvain_instrumented, SequentialConfig};
+use gala_core::sequential::{sequential_louvain_observed, SequentialConfig};
 use gala_core::validation::{coverage, mean_conductance};
 use gala_gpu::memory::CostModel;
 use gala_gpu::profile::{Profiler, SpanRecord};
@@ -28,7 +26,7 @@ use gala_graph::generators::ws::watts_strogatz;
 use gala_graph::reorder::{self, Ordering};
 use gala_graph::stats::GraphStats;
 use gala_graph::{io, metis, Graph, GraphStore, Partition};
-use gala_telemetry::{recorder, JsonlSink, MetricRow, NullSink, Report, TraceSink};
+use gala_telemetry::{recorder, JsonlSink, MetricRow, Report, TraceSink};
 use std::fs::File;
 use std::io::{BufWriter, IsTerminal, Write};
 use std::time::{Duration, Instant};
@@ -230,7 +228,7 @@ fn generate(args: GenerateArgs) -> Result<(), Error> {
 
 /// Flattens a profiling span tree into report rows, one per span, labelled
 /// by slash-joined path (`span/round/superstep/decide/hash`). Empty trees
-/// (profiling off, or a non-GALA algorithm) add nothing.
+/// (profiling off, or label propagation) add nothing.
 fn push_span_rows(report: &mut Report, span: &SpanRecord, prefix: &str) {
     let cost = CostModel::default();
     for child in &span.children {
@@ -279,24 +277,21 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             (reordered, Some(ord), Some((before, after)))
         }
     };
-    // --trace: JSONL superstep events (only the GALA drivers emit them;
-    // the other algorithms leave the file empty).
+    // --trace: the JSONL event stream of the Louvain-family drivers (GALA,
+    // Leiden, sequential); label propagation leaves the file empty.
     let mut jsonl = match &args.trace {
         Some(path) => Some(JsonlSink::new(BufWriter::new(File::create(path)?))),
         None => None,
     };
-    let mut null = NullSink;
-    let sink: &mut dyn TraceSink = match jsonl.as_mut() {
-        Some(s) => s,
-        None => &mut null,
-    };
     // --report: profile the run so the report carries the span tree. The
-    // GALA drivers take the profiler; other algorithms leave it empty.
-    let mut prof = if args.report.is_some() {
+    // Louvain-family drivers fill it; label propagation leaves it empty.
+    let prof = if args.report.is_some() {
         Profiler::new()
     } else {
         Profiler::disabled()
     };
+    let sink = jsonl.as_mut().map(|s| s as &mut dyn TraceSink);
+    let mut obs = Observer::new(sink, prof);
     let backend = match args.backend {
         Backend::Sim => BackendKind::Sim,
         Backend::Native => BackendKind::Native,
@@ -347,7 +342,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                 // The partitioned contraction only exists in the full
                 // hierarchy driver, so `--mg-contract partitioned` runs
                 // all rounds even at one device.
-                let r = multi_gpu_full_instrumented(
+                let r = multi_gpu::run_full_observed(
                     &graph,
                     MultiGpuConfig {
                         num_devices: args.devices,
@@ -356,12 +351,11 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                         contract: ContractMode::Partitioned,
                         ..MultiGpuConfig::default()
                     },
-                    sink,
-                    &mut prof,
+                    &mut obs,
                 );
                 ("GALA (multi-device, full)", r.partition)
             } else if args.devices > 1 {
-                let r = multi_gpu_phase1_instrumented(
+                let r = multi_gpu::run_phase1_observed(
                     &graph,
                     MultiGpuConfig {
                         num_devices: args.devices,
@@ -369,8 +363,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                         backend,
                         ..MultiGpuConfig::default()
                     },
-                    sink,
-                    &mut prof,
+                    &mut obs,
                 );
                 ("GALA (multi-device, phase 1)", r.partition)
             } else {
@@ -380,20 +373,19 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                     backend,
                     ..LouvainConfig::default()
                 })
-                .run_instrumented(&graph, sink, &mut prof);
+                .run_observed(&graph, &mut obs);
                 ("GALA", r.partition)
             }
         }
         Algorithm::Leiden => {
-            let r = leiden_instrumented(
+            let r = leiden_observed(
                 &graph,
                 LeidenConfig {
                     resolution: args.resolution,
                     backend,
                     ..LeidenConfig::default()
                 },
-                sink,
-                &mut prof,
+                &mut obs,
             );
             ("Leiden", r.partition)
         }
@@ -402,16 +394,12 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             ("label propagation", r.partition)
         }
         Algorithm::Sequential => {
-            let r = sequential_louvain_instrumented(
-                &graph,
-                SequentialConfig::default(),
-                sink,
-                &mut prof,
-            );
+            let r = sequential_louvain_observed(&graph, SequentialConfig::default(), &mut obs);
             ("sequential Louvain", r.partition)
         }
     };
     let elapsed = start.elapsed();
+    let spans_tree = obs.finish();
     if let Some(tty) = progress_tty {
         recorder::disarm_watchdog();
         recorder::clear_progress_callback();
@@ -419,9 +407,11 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             // Terminate the in-place status line.
             eprintln!();
         }
-        // Append the recorder's buffered log lines to the trace (a no-op
-        // without --trace): readers accept `log` events after `run_end`.
-        recorder::drain_into_sink(sink);
+        // Append the recorder's buffered log lines to the trace, if any:
+        // readers accept `log` events after `run_end`.
+        if let Some(s) = jsonl.as_mut() {
+            recorder::drain_into_sink(s);
+        }
     }
     if let Some(s) = jsonl {
         // Flush the trace before anything else can fail.
@@ -469,7 +459,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                     .metric("mean_edge_span_after", after),
             );
         }
-        push_span_rows(&mut report, &prof.finish(), "span");
+        push_span_rows(&mut report, &spans_tree, "span");
         report.write_to(path)?;
     }
     if !args.quiet {

@@ -431,6 +431,7 @@ mod tests {
 
     #[test]
     fn native_instrumented_run_reports_wall_clock_spans() {
+        use crate::observe::Observer;
         use gala_telemetry::NullSink;
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig {
@@ -438,10 +439,11 @@ mod tests {
             ..LouvainConfig::default()
         });
         let plain = Louvain::new(LouvainConfig::default()).run(&g);
-        let mut prof = Profiler::new();
-        let traced = runner.run_instrumented(&g, &mut NullSink, &mut prof);
+        let mut sink = NullSink;
+        let mut obs = Observer::new(Some(&mut sink), Profiler::new());
+        let traced = runner.run_observed(&g, &mut obs);
         assert_eq!(traced.partition, plain.partition);
-        let tree = prof.finish();
+        let tree = obs.finish();
         let step = tree
             .child("round")
             .and_then(|r| r.child("superstep"))

@@ -9,12 +9,11 @@
 
 use crate::kernels::cpu;
 use crate::louvain::LouvainConfig;
+use crate::observe::Observer;
 use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::{BspState, MoveSummary};
 use crate::weight::{self, WeightUpdateMode};
-use gala_gpu::profile::Profiler;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{NullSink, TraceSink};
 use std::time::Instant;
 
 /// Result of a Grappolo baseline run.
@@ -32,34 +31,27 @@ pub struct GrappoloResult {
 /// Runs one phase-1 round (the paper's measured region) and returns the
 /// resulting state plus the number of supersteps.
 pub fn phase1(graph: &Graph, theta: f64, max_iterations: usize) -> (BspState, usize) {
-    phase1_profiled(
-        graph,
-        theta,
-        max_iterations,
-        0,
-        &mut NullSink,
-        &mut Profiler::disabled(),
-    )
+    let mut obs = Observer::off();
+    obs.start("grappolo");
+    phase1_observed(graph, theta, max_iterations, 0, &mut obs)
 }
 
 /// [`phase1`] with the louvain-style per-superstep span tree (decide →
-/// apply → weight_update → modularity) wired through `sink`/`prof`. All
-/// spans charge host wall time: this baseline deliberately runs without
-/// simulated-GPU accounting.
-fn phase1_profiled(
+/// apply → weight_update → modularity) reported to `obs`. All spans charge
+/// host wall time: this baseline deliberately runs without simulated-GPU
+/// accounting.
+fn phase1_observed(
     graph: &Graph,
     theta: f64,
     max_iterations: usize,
     round: u32,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Observer,
 ) -> (BspState, usize) {
     let mut state = BspState::new(graph);
     // The same dip-tolerant convergence as louvain.rs, with its default
     // patience, so the two drivers reach identical modularity.
     let patience = LouvainConfig::default().dip_patience;
-    let q = state.modularity(graph);
-    let mut tracker = Phase1Tracker::new("grappolo", round, &state, q, theta, patience);
+    let mut tracker = Phase1Tracker::new(round, graph, &state, theta, patience);
     let mut iterations = 0;
     // No pruning: the all-active mask never changes, and the decide output,
     // the fold's aggregators and the move list are recycled across
@@ -69,7 +61,7 @@ fn phase1_profiled(
     let mut aggs = Vec::new();
     let mut summary = MoveSummary::default();
     for iteration in 0..max_iterations {
-        let mut sub = rounds::sub_profiler(sink, prof);
+        let mut sub = obs.sub_profiler();
         rounds::host_decide(&mut sub, graph.num_vertices(), || {
             cpu::decide_into(graph, &state, &active, &mut aggs, &mut out)
         });
@@ -87,13 +79,11 @@ fn phase1_profiled(
             p.count("items", graph.num_vertices() as u64);
             state.modularity(graph)
         });
-        let s = iteration as u32;
-        prof.scope("superstep", |p| {
-            rounds::emit_tree(sink, p, sub, None, round, s, "phase1")
-        });
-        // No pruning: every vertex is active in every superstep.
+        obs.superstep_tree(sub, None, round, iteration as u32);
+        // No pruning: every vertex is active in every superstep. Grappolo
+        // traces no `superstep` events, only their span trees.
         let n = graph.num_vertices();
-        if tracker.step(graph, &state, q, n, summary.num_moved()) {
+        if tracker.step(obs, &state, q, n, summary.num_moved(), None) {
             break;
         }
     }
@@ -103,19 +93,14 @@ fn phase1_profiled(
 
 /// Full multi-round Grappolo run.
 pub fn grappolo(graph: &Graph, theta: f64) -> GrappoloResult {
-    grappolo_instrumented(graph, theta, &mut NullSink, &mut Profiler::disabled())
+    grappolo_observed(graph, theta, &mut Observer::off())
 }
 
-/// [`grappolo`] with tracing: the same `run_start` / per-superstep
+/// [`grappolo`] observed by `obs`: the same `run_start` / per-superstep
 /// `span` and `profile` / `round_end` / `run_end` event sequence as the
 /// BSP drivers, all spans charging host wall nanoseconds (`"host"`
 /// backend).
-pub fn grappolo_instrumented(
-    graph: &Graph,
-    theta: f64,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> GrappoloResult {
+pub fn grappolo_observed(graph: &Graph, theta: f64, obs: &mut Observer) -> GrappoloResult {
     let spec = rounds::Spec {
         algorithm: "grappolo",
         devices: 1,
@@ -127,7 +112,7 @@ pub fn grappolo_instrumented(
         theta,
         first_round_iterations: None,
     };
-    let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, sink, prof);
+    let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, obs);
     GrappoloResult {
         partition,
         modularity,
@@ -142,15 +127,9 @@ struct GrappoloRounds {
 }
 
 impl Driver for GrappoloRounds {
-    fn phase1(
-        &mut self,
-        g: &Graph,
-        round: u32,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> Phase1 {
+    fn phase1(&mut self, g: &Graph, round: u32, obs: &mut Observer) -> Phase1 {
         let max_iterations = LouvainConfig::default().max_iterations;
-        let (state, iters) = phase1_profiled(g, self.theta, max_iterations, round, sink, prof);
+        let (state, iters) = phase1_observed(g, self.theta, max_iterations, round, obs);
         self.first_round_iterations.get_or_insert(iters);
         Phase1 {
             communities: state.partition(),
@@ -175,12 +154,14 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_emits_profiles() {
+        use gala_gpu::profile::Profiler;
         use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = grappolo(&g, 1e-6);
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = grappolo_instrumented(&g, 1e-6, &mut sink, &mut prof);
+        let mut obs = Observer::new(Some(&mut sink), Profiler::new());
+        let traced = grappolo_observed(&g, 1e-6, &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
         let mut phase1_profiles = 0;
@@ -204,7 +185,6 @@ mod tests {
             }
         }
         assert!(phase1_profiles >= traced.first_round_iterations);
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert!(round
             .child("superstep")

@@ -7,9 +7,8 @@
 //! is actually for: zooming between granularities without re-running.
 
 use crate::louvain::{Louvain, LouvainConfig};
-use gala_gpu::profile::Profiler;
+use crate::observe::Observer;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::NullSink;
 
 /// A full Louvain hierarchy: level 0 is the finest (first-round)
 /// partition of the original graph; each subsequent level merges further.
@@ -29,15 +28,10 @@ impl Dendrogram {
     pub fn build(graph: &Graph, config: LouvainConfig) -> Self {
         let mut levels = Vec::new();
         let mut modularities = Vec::new();
-        Louvain::new(config).run_levels(
-            graph,
-            &mut NullSink,
-            &mut Profiler::disabled(),
-            &mut |level, q| {
-                levels.push(level.clone());
-                modularities.push(q);
-            },
-        );
+        Louvain::new(config).run_levels(graph, &mut Observer::off(), &mut |level, q| {
+            levels.push(level.clone());
+            modularities.push(q);
+        });
         if levels.is_empty() {
             levels.push(Partition::singletons(graph.num_vertices()));
             modularities.push(0.0);

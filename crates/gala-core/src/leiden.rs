@@ -15,15 +15,13 @@
 use crate::backend::BackendKind;
 use crate::kernels::KernelKind;
 use crate::modularity::modularity_with_resolution;
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::Observer;
 use crate::rounds;
-use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::partition::CommunityId;
 use gala_graph::subgraph::community_subgraph;
 use gala_graph::traversal::connected_components;
 use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{NullSink, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -68,24 +66,19 @@ pub struct LeidenResult {
 
 /// Runs Leiden to convergence.
 pub fn leiden(graph: &Graph, config: LeidenConfig) -> LeidenResult {
-    leiden_instrumented(graph, config, &mut NullSink, &mut Profiler::disabled())
+    leiden_observed(graph, config, &mut Observer::off())
 }
 
-/// [`leiden`] with tracing: the same `run_start` / `span` / `profile` /
+/// [`leiden`] observed by `obs`: the same `run_start` / `span` / `profile` /
 /// `round_end` / `run_end` event sequence as the BSP drivers. The
 /// sequential local-moving pass is one wall-clock-timed `superstep` tree
 /// per round (`"host"` backend, unit `"ns"`); the per-round `refine` +
 /// `contract` tree goes through the configured [`BackendKind`] like
 /// louvain's phase 2, so a sim-backed run charges real simulated cycles
 /// for the aggregation while a native run charges wall time.
-pub fn leiden_instrumented(
-    graph: &Graph,
-    config: LeidenConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> LeidenResult {
+pub fn leiden_observed(graph: &Graph, config: LeidenConfig, obs: &mut Observer) -> LeidenResult {
     let backend = config.backend.resolve();
-    rounds::run_start(sink, "leiden", graph, 1);
+    obs.run_start("leiden", graph, 1);
     let mut current: Option<Graph> = None;
     // `labels` carries the working graph's initial communities into each
     // round (Leiden's aggregated vertices do NOT restart as singletons).
@@ -94,9 +87,6 @@ pub fn leiden_instrumented(
     let mut num_rounds = 0;
     let mut cscratch = CoarsenScratch::default();
     let mut sweep = SweepScratch::default();
-    // One deterministic `progress` event per round (local moving is one
-    // indivisible host pass here, like the sequential baseline).
-    let mut progress = ProgressReporter::new("leiden");
     // Leiden keeps its own round loop rather than the hierarchy engine's:
     // a round whose local moving merges nothing ends before phase 2, with
     // no `contract` tree and no `round_end`.
@@ -105,8 +95,8 @@ pub fn leiden_instrumented(
         let mut comm: Vec<CommunityId> = labels
             .take()
             .unwrap_or_else(|| (0..g.num_vertices() as CommunityId).collect());
-        prof.enter("round");
-        let moved = rounds::host_pass(sink, prof, round, g.num_vertices(), || {
+        obs.enter("round");
+        let moved = obs.host_pass(round, g.num_vertices(), || {
             local_move(g, &mut comm, &config, &mut sweep)
         });
         num_rounds += 1;
@@ -114,11 +104,11 @@ pub fn leiden_instrumented(
         let (dense, k) = partition.renumbered();
         if k == g.num_vertices() {
             // Nothing merged: converged. Record this level and stop.
-            prof.exit();
+            obs.exit();
             flat = Some(rounds::compose(flat, dense, &mut cscratch));
             break;
         }
-        let mut sub = rounds::sub_profiler(sink, prof);
+        let mut sub = obs.sub_profiler();
         // Refinement: re-partition each community from singletons.
         let refined = sub.scope("refine", |p| {
             let started = Instant::now();
@@ -132,42 +122,21 @@ pub fn leiden_instrumented(
             let kernel = KernelKind::default();
             backend.contract(g, &refined, kernel, instrumented, p, &mut cscratch)
         });
-        rounds::emit_tree(sink, prof, sub, Some(config.backend), round, 1, "contract");
-        prof.exit();
+        obs.emit_tree(sub, Some(config.backend), round, 1, "contract");
+        obs.exit();
         // The aggregated graph's vertices start in their step-1 community.
         let mut next_labels = vec![0 as CommunityId; coarse.num_communities];
         for v in 0..g.num_vertices() {
             let super_v = coarse.renumbered.community_of(v as VertexId) as usize;
             next_labels[super_v] = dense.community_of(v as VertexId);
         }
-        flat = Some(rounds::compose(flat, coarse.renumbered, &mut cscratch));
-        if sink.enabled() || progress.live() {
-            let q = modularity_with_resolution(
-                graph,
-                flat.as_ref().expect("just set"),
-                config.resolution,
-            );
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round,
-                    supersteps: 1,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            progress.round(
-                sink,
-                round,
-                "phase1",
-                1,
-                q,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse.graph.num_arcs() as u64,
-                },
-            );
-        }
+        let composed = rounds::compose(flat.take(), coarse.renumbered, &mut cscratch);
+        let level = flat.insert(composed);
+        // One deterministic `progress` snapshot per round (local moving is
+        // one indivisible host pass here, like the sequential baseline).
+        let flat_q = || modularity_with_resolution(graph, level, config.resolution);
+        let progress = ("phase1", coarse.graph.num_arcs());
+        obs.round_end(round, 1, coarse.num_communities, None, flat_q, progress);
         if !moved {
             break;
         }
@@ -183,15 +152,9 @@ pub fn leiden_instrumented(
         partition = partition.compose(&Partition::from_assignment(last));
     }
     let q = modularity_with_resolution(graph, &partition, config.resolution);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity: q,
-            rounds: num_rounds as u32,
-            // Only the aggregation runs on the simulated device; its
-            // cycles live in the emitted `contract` span trees.
-            total_cycles: 0.0,
-        });
-    }
+    // Only the aggregation runs on the simulated device; its cycles live
+    // in the emitted `contract` span trees.
+    obs.run_end(q, num_rounds as u32, 0.0);
     LeidenResult {
         partition,
         modularity: q,
@@ -431,12 +394,14 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_profiles_both_units() {
-        use gala_telemetry::VecSink;
+        use gala_gpu::profile::Profiler;
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(8, 5);
         let plain = leiden(&g, LeidenConfig::default());
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = leiden_instrumented(&g, LeidenConfig::default(), &mut sink, &mut prof);
+        let mut obs = Observer::new(Some(&mut sink), Profiler::new());
+        let traced = leiden_observed(&g, LeidenConfig::default(), &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
         // Local moving profiles as host wall time; the sim-backed
@@ -471,7 +436,6 @@ mod tests {
             }
         }
         assert!(saw_host_phase1 && saw_sim_contract);
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert!(round.child("superstep").is_some());
         assert!(round.child("refine").is_some());

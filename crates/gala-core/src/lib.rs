@@ -23,9 +23,10 @@
 //! * [`multi_gpu`] — vertex-partitioned multi-device execution with
 //!   adaptive dense/sparse synchronisation (Sec. 4.3).
 //! * [`metrics`] — NMI and partition-quality statistics.
-//! * [`progress`] — host-side progress observation shared by the drivers:
-//!   bounded-frequency live snapshots for the flight recorder plus
-//!   deterministic per-round `progress` trace events.
+//! * [`observe`] — the one observation seam of every driver: an
+//!   [`observe::Observer`] fans the run's hooks out to the trace sink, the
+//!   span profiler, the metric registries and the flight recorder's live
+//!   progress.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +43,7 @@ pub mod metrics;
 pub mod mg_contract;
 pub mod modularity;
 pub mod multi_gpu;
-pub mod progress;
+pub mod observe;
 pub mod pruning;
 mod rounds;
 pub mod sequential;

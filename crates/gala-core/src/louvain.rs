@@ -5,6 +5,7 @@
 use crate::backend::BackendKind;
 use crate::kernels::hashtable::TableStats;
 use crate::kernels::{self, KernelKind};
+use crate::observe::{Observer, StepTallies};
 use crate::pruning::{self, PruningKind};
 use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::{BspState, MoveSummary};
@@ -13,7 +14,7 @@ use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{MetricsRegistry, NullSink, TraceEvent, TraceSink};
+use gala_telemetry::{MetricsRegistry, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
@@ -219,39 +220,24 @@ impl Louvain {
     /// of most of the paper's experiments ("phase 1 of the first round
     /// dominates the runtime"). Returns the final state and the stats.
     pub fn run_phase1(&self, graph: &Graph) -> (BspState, RoundStats) {
-        self.run_phase1_traced(graph, &mut NullSink)
+        self.run_phase1_observed(graph, &mut Observer::off())
     }
 
-    /// [`Self::run_phase1`] with a [`TraceSink`] receiving one
-    /// [`TraceEvent::Superstep`] per BSP superstep. With a disabled sink
-    /// the instrumentation costs one branch per superstep.
-    pub fn run_phase1_traced(
-        &self,
-        graph: &Graph,
-        sink: &mut dyn TraceSink,
-    ) -> (BspState, RoundStats) {
-        self.run_phase1_instrumented(graph, sink, &mut Profiler::disabled())
-    }
-
-    /// [`Self::run_phase1_traced`] with a [`Profiler`] accumulating the
-    /// per-superstep span trees (classify → decide → apply → weight-update →
-    /// modularity, with per-kernel children under decide). With both the
-    /// sink and the profiler disabled this is the plain hot path.
-    pub fn run_phase1_instrumented(
-        &self,
-        graph: &Graph,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> (BspState, RoundStats) {
-        self.run_phase1_round(graph, 0, sink, prof, &mut Phase1Scratch::default())
+    /// [`Self::run_phase1`] observed by `obs`: one `superstep` event and
+    /// one span tree (classify → decide → apply → weight-update →
+    /// modularity, with per-kernel children under decide) per BSP
+    /// superstep, then the round's `metrics` and `progress` events. No
+    /// `run_start`/`run_end` bracket: this is one round, not a run.
+    pub fn run_phase1_observed(&self, graph: &Graph, obs: &mut Observer) -> (BspState, RoundStats) {
+        obs.start("louvain");
+        self.run_phase1_round(graph, 0, obs, &mut Phase1Scratch::default())
     }
 
     fn run_phase1_round(
         &self,
         graph: &Graph,
         round: usize,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
+        obs: &mut Observer,
         scratch: &mut Phase1Scratch,
     ) -> (BspState, RoundStats) {
         let cfg = &self.config;
@@ -270,16 +256,14 @@ impl Louvain {
         let mut state = BspState::with_resolution(graph, cfg.resolution);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ round as u64);
         let mut iterations = Vec::new();
-        let mut prev_q = state.modularity(graph);
         let (theta, patience) = (cfg.theta, cfg.dip_patience);
-        let mut tracker =
-            Phase1Tracker::new("louvain", round as u32, &state, prev_q, theta, patience);
+        let mut tracker = Phase1Tracker::new(round as u32, graph, &state, theta, patience);
         // Algorithm-level metrics are pure host-side observation (no
         // simulated-memory traffic), built only when a sink wants them and
         // emitted once per round as a `metrics` event.
-        let mut metrics = sink.enabled().then(MetricsRegistry::new);
+        let mut metrics = obs.metrics().then(MetricsRegistry::new);
         for iteration in 0..cfg.max_iterations {
-            let mut sub = rounds::sub_profiler(sink, prof);
+            let mut sub = obs.sub_profiler();
             let t0 = Instant::now();
             let num_active = sub.scope("classify", |p| {
                 pruning::classify_into(cfg.pruning, graph, &state, &mut rng, active);
@@ -317,14 +301,12 @@ impl Louvain {
                 state.modularity(graph)
             });
             let t5 = Instant::now();
-            let (r, s) = (round as u32, iteration as u32);
-            prof.scope("superstep", |p| {
-                rounds::emit_tree(sink, p, sub, Some(cfg.backend), r, s, "phase1")
-            });
+            obs.superstep_tree(sub, Some(cfg.backend), round as u32, iteration as u32);
+            let moved = summary.num_moved();
             iterations.push(IterationStats {
                 iteration,
                 num_active,
-                num_moved: summary.num_moved(),
+                num_moved: moved,
                 modularity: q,
                 tally: out.tally,
                 weight_tally,
@@ -333,25 +315,12 @@ impl Louvain {
                 weight_time: t4 - t3,
                 other_time: (t1 - t0) + (t3 - t2) + (t5 - t4),
             });
-            if sink.enabled() {
-                let moved = summary.num_moved();
-                sink.emit(TraceEvent::Superstep {
-                    round: r,
-                    superstep: s,
-                    active: num_active as u64,
-                    moved: moved as u64,
-                    pruned: (graph.num_vertices() - num_active) as u64,
-                    unmoved: num_active.saturating_sub(moved) as u64,
-                    modularity: q,
-                    delta_q: q - prev_q,
-                    decide_tally: out.tally,
-                    weight_tally,
-                    hash_occupancy: out.hash_stats.occupancy(),
-                    hash_evictions: out.hash_stats.shared_evictions,
-                });
-            }
-            prev_q = q;
-            if tracker.step(graph, &state, q, num_active, summary.num_moved()) {
+            let tallies = StepTallies {
+                decide: out.tally,
+                weight: weight_tally,
+                hash: out.hash_stats,
+            };
+            if tracker.step(obs, &state, q, num_active, moved, Some(tallies)) {
                 break;
             }
         }
@@ -376,7 +345,7 @@ impl Louvain {
                     fns as f64 / sampled as f64
                 },
             );
-            sink.emit(TraceEvent::Metrics {
+            obs.emit(|| TraceEvent::Metrics {
                 round: round as u32,
                 scope: "phase1".to_string(),
                 registry: m,
@@ -385,7 +354,7 @@ impl Louvain {
         let stats = RoundStats {
             round,
             num_vertices: graph.num_vertices(),
-            modularity: tracker.finish(sink, &mut state, graph),
+            modularity: tracker.finish(obs, &mut state, graph),
             iterations,
         };
         (state, stats)
@@ -394,37 +363,25 @@ impl Louvain {
     /// Runs the full multi-round Louvain (phase 1 + phase 2 repetitions)
     /// and returns the best flattened level of the hierarchy.
     pub fn run(&self, graph: &Graph) -> LouvainResult {
-        self.run_traced(graph, &mut NullSink)
+        self.run_observed(graph, &mut Observer::off())
     }
 
-    /// [`Self::run`] with a [`TraceSink`] receiving the full event stream:
-    /// `run_start`, one `superstep` (plus its `span` tree) per BSP
-    /// superstep, one `round_end` per hierarchy round, and a final
-    /// `run_end`.
-    pub fn run_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> LouvainResult {
-        self.run_instrumented(graph, sink, &mut Profiler::disabled())
+    /// [`Self::run`] observed by `obs`: `run_start`, per BSP superstep one
+    /// `superstep` event and its span tree, per hierarchy round the
+    /// `refine`/`contract` tree and `round_end`, and a final `run_end`. The
+    /// run-level span tree holds one `round` span per hierarchy round with
+    /// the merged `superstep` trees and the phase-2 spans.
+    pub fn run_observed(&self, graph: &Graph, obs: &mut Observer) -> LouvainResult {
+        self.run_levels(graph, obs, &mut |_, _| {})
     }
 
-    /// [`Self::run_traced`] with a [`Profiler`] accumulating the run-level
-    /// span tree: one `round` span per hierarchy round, holding the merged
-    /// `superstep` trees plus `refine`/`contract` phase-2 spans.
-    pub fn run_instrumented(
-        &self,
-        graph: &Graph,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> LouvainResult {
-        self.run_levels(graph, sink, prof, &mut |_, _| {})
-    }
-
-    /// [`Self::run_instrumented`] that also hands every round's flattened
+    /// [`Self::run_observed`] that also hands every round's flattened
     /// level and its modularity on `graph` to `on_level` (the levels a
     /// [`crate::hierarchy::Dendrogram`] keeps).
     pub(crate) fn run_levels(
         &self,
         graph: &Graph,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
+        obs: &mut Observer,
         on_level: &mut dyn FnMut(&Partition, f64),
     ) -> LouvainResult {
         let cfg = &self.config;
@@ -444,7 +401,7 @@ impl Louvain {
             best: None,
             on_level,
         };
-        let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, sink, prof);
+        let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, obs);
         LouvainResult {
             partition,
             modularity,
@@ -464,16 +421,10 @@ struct LouvainRounds<'a> {
 }
 
 impl Driver for LouvainRounds<'_> {
-    fn phase1(
-        &mut self,
-        g: &Graph,
-        round: u32,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> Phase1 {
+    fn phase1(&mut self, g: &Graph, round: u32, obs: &mut Observer) -> Phase1 {
         let (state, stats) =
             self.runner
-                .run_phase1_round(g, round as usize, sink, prof, &mut self.scratch);
+                .run_phase1_round(g, round as usize, obs, &mut self.scratch);
         let p1 = Phase1 {
             communities: state.partition(),
             supersteps: stats.iterations.len() as u32,
@@ -757,7 +708,10 @@ mod tests {
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
         let mut sink = VecSink::default();
-        let traced = runner.run_traced(&g, &mut sink);
+        let traced = runner.run_observed(
+            &g,
+            &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+        );
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
 
@@ -809,8 +763,9 @@ mod tests {
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = runner.run_instrumented(&g, &mut sink, &mut prof);
+        let mut obs = Observer::new(Some(&mut sink), Profiler::new());
+        let traced = runner.run_observed(&g, &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
 
@@ -851,7 +806,6 @@ mod tests {
 
         // The run-level profiler holds the merged tree: round → superstep →
         // decide, with tallies matching the per-iteration stats.
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert_eq!(round.invocations, traced.rounds.len() as u64);
         let step = round.child("superstep").expect("superstep span");
@@ -868,7 +822,10 @@ mod tests {
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig::default());
         let mut sink = VecSink::default();
-        let traced = runner.run_traced(&g, &mut sink);
+        let traced = runner.run_observed(
+            &g,
+            &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+        );
         let rounds: Vec<_> = sink
             .events
             .iter()
@@ -919,11 +876,15 @@ mod tests {
     #[test]
     fn disabled_sink_sees_no_events_and_changes_nothing() {
         // NullSink::emit debug-asserts it is never called: running under it
-        // proves the drivers gate every emission on `sink.enabled()`.
+        // proves the observer gates every emission on `sink.enabled()`.
         let g = fixtures::ring_of_cliques(5, 4);
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
-        let traced = runner.run_traced(&g, &mut gala_telemetry::NullSink);
+        let mut sink = gala_telemetry::NullSink;
+        let traced = runner.run_observed(
+            &g,
+            &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+        );
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
     }

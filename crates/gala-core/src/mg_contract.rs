@@ -31,7 +31,7 @@
 
 use crate::backend::ExecutionBackend;
 use crate::multi_gpu::{partition_by_arcs, MultiGpuConfig, SyncMode};
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::{Counts, ProgressReporter};
 use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;

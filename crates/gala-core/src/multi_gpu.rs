@@ -22,9 +22,11 @@
 //! the modelled collective time, which is what Figure 10 plots.
 
 use crate::backend::BackendKind;
+use crate::kernels::hashtable::TableStats;
 use crate::kernels::{self, KernelKind};
 use crate::louvain::LouvainConfig;
 use crate::mg_contract::{self, ContractRoundStats};
+use crate::observe::{Observer, StepTallies};
 use crate::pruning::{self, PruningKind};
 use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::{BspState, MoveSummary};
@@ -34,7 +36,7 @@ use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{MetricsRegistry, NullSink, TraceEvent, TraceSink};
+use gala_telemetry::{MetricsRegistry, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -229,39 +231,23 @@ pub fn partition_by_arcs(graph: &Graph, p: usize) -> Vec<std::ops::Range<VertexI
 
 /// Runs phase 1 on `num_devices` simulated devices.
 pub fn run_phase1(graph: &Graph, config: MultiGpuConfig) -> MultiGpuResult {
-    run_phase1_traced(graph, config, &mut NullSink)
+    run_phase1_observed(graph, config, &mut Observer::off())
 }
 
-/// [`run_phase1`] with a [`TraceSink`] receiving `run_start`, one
-/// `superstep` + one `sync` event per BSP superstep (the sync event carries
-/// the dense-vs-sparse decision and the modelled byte volume), and a final
-/// `run_end`. A disabled sink costs one branch per superstep.
-pub fn run_phase1_traced(
+/// [`run_phase1`] observed by `obs`: `run_start`, per BSP superstep one
+/// span tree (classify → decide → sync → apply → weight-update →
+/// modularity), one `superstep` event and one `sync` event (the
+/// dense-vs-sparse decision and the modelled byte volume), then the
+/// round's `metrics` and `progress` events and a final `run_end`.
+pub fn run_phase1_observed(
     graph: &Graph,
     config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
+    obs: &mut Observer,
 ) -> MultiGpuResult {
-    run_phase1_instrumented(graph, config, sink, &mut Profiler::disabled())
-}
-
-/// [`run_phase1_traced`] with a [`Profiler`] accumulating per-superstep span
-/// trees (classify → decide → sync → apply → weight-update → modularity);
-/// each superstep's fresh tree is also emitted as a `span` trace event.
-pub fn run_phase1_instrumented(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> MultiGpuResult {
-    rounds::run_start(sink, "multi-gpu", graph, config.num_devices as u32);
-    let result = run_phase1_round(graph, config, sink, prof, 0);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity: result.modularity,
-            rounds: 1,
-            total_cycles: CostModel::default().cycles(&result.device_tally()),
-        });
-    }
+    obs.run_start("multi-gpu", graph, config.num_devices as u32);
+    let result = run_phase1_round(graph, config, obs, 0);
+    let total_cycles = CostModel::default().cycles(&result.device_tally());
+    obs.run_end(result.modularity, 1, total_cycles);
     result
 }
 
@@ -270,8 +256,7 @@ pub fn run_phase1_instrumented(
 fn run_phase1_round(
     graph: &Graph,
     config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Observer,
     round: u32,
 ) -> MultiGpuResult {
     let cfg = config;
@@ -284,13 +269,12 @@ fn run_phase1_round(
     let mut iterations = Vec::new();
     let n = graph.num_vertices();
     let cycles_per_us = cfg.clock_ghz * 1000.0 * cfg.effective_parallelism;
-    let mut prev_q = state.modularity(graph);
     // Dip-tolerant convergence, with louvain.rs's default patience.
     let patience = LouvainConfig::default().dip_patience;
-    let mut tracker = Phase1Tracker::new("multi-gpu", round, &state, prev_q, cfg.theta, patience);
+    let mut tracker = Phase1Tracker::new(round, graph, &state, cfg.theta, patience);
     // Algorithm-level metrics (sync strategy, routing, pruning): host-side
     // observation only, emitted once as a `metrics` event before run_end.
-    let mut metrics = sink.enabled().then(|| {
+    let mut metrics = obs.metrics().then(|| {
         let mut m = MetricsRegistry::new();
         m.inc("sync/devices", cfg.num_devices as u64);
         m
@@ -304,7 +288,7 @@ fn run_phase1_round(
     let mut summary = MoveSummary::default();
     let mut wscratch = weight::WeightScratch::default();
     for iteration in 0..cfg.max_iterations {
-        let mut sub = rounds::sub_profiler(sink, prof);
+        let mut sub = obs.sub_profiler();
         let num_active = sub.scope("classify", |p| {
             pruning::classify_into(cfg.pruning, graph, &state, &mut rng, &mut active);
             let num_active = active.iter().filter(|&&a| a).count();
@@ -420,44 +404,31 @@ fn run_phase1_round(
             state.modularity(graph)
         });
         let s = iteration as u32;
-        prof.scope("superstep", |p| {
-            rounds::emit_tree(sink, p, sub, Some(cfg.backend), round, s, "phase1")
+        obs.superstep_tree(sub, Some(cfg.backend), round, s);
+        let tallies = StepTallies {
+            decide: device_tallies.iter().copied().sum(),
+            weight: weight_tally,
+            hash: TableStats::default(),
+        };
+        let moved = summary.num_moved();
+        let stop = tracker.step(obs, &state, q, num_active, moved, Some(tallies));
+        obs.emit(|| TraceEvent::Sync {
+            superstep: s,
+            mode: mode.to_string(),
+            bytes: used_bytes,
+            comm_us,
+            devices: cfg.num_devices as u32,
         });
-        if sink.enabled() {
-            let moved = summary.num_moved();
-            sink.emit(TraceEvent::Superstep {
-                round,
-                superstep: s,
-                active: num_active as u64,
-                moved: moved as u64,
-                pruned: (n - num_active) as u64,
-                unmoved: num_active.saturating_sub(moved) as u64,
-                modularity: q,
-                delta_q: q - prev_q,
-                decide_tally: device_tallies.iter().copied().sum(),
-                weight_tally,
-                hash_occupancy: 0.0,
-                hash_evictions: 0,
-            });
-            sink.emit(TraceEvent::Sync {
-                superstep: s,
-                mode: mode.to_string(),
-                bytes: used_bytes,
-                comm_us,
-                devices: cfg.num_devices as u32,
-            });
-        }
-        prev_q = q;
         iterations.push(MultiGpuIteration {
             iteration,
             compute_us,
             comm_us,
             sync_used,
-            num_moved: summary.num_moved(),
+            num_moved: moved,
             num_active,
             device_tallies,
         });
-        if tracker.step(graph, &state, q, num_active, summary.num_moved()) {
+        if stop {
             break;
         }
     }
@@ -473,13 +444,13 @@ fn run_phase1_round(
                 sparse as f64 / (dense + sparse) as f64
             },
         );
-        sink.emit(TraceEvent::Metrics {
+        obs.emit(|| TraceEvent::Metrics {
             round,
             scope: "sync".to_string(),
             registry: m,
         });
     }
-    let best_q = tracker.finish(sink, &mut state, graph);
+    let best_q = tracker.finish(obs, &mut state, graph);
     MultiGpuResult {
         partition: state.partition(),
         modularity: best_q,
@@ -519,31 +490,20 @@ impl MultiGpuFullResult {
 /// Runs the complete Louvain hierarchy with every phase 1 executed on the
 /// simulated devices and phase 2 selected by [`MultiGpuConfig::contract`].
 pub fn run_full(graph: &Graph, config: MultiGpuConfig) -> MultiGpuFullResult {
-    run_full_traced(graph, config, &mut NullSink)
+    run_full_observed(graph, config, &mut Observer::off())
 }
 
-/// [`run_full`] with a [`TraceSink`] receiving one `run_start`/`run_end`
-/// bracket around the whole hierarchy, the per-round phase-1 event stream
-/// (supersteps, spans, syncs, metrics — with real round indices), one
-/// `contract` span per round, an exchange `sync` event per partitioned
-/// contraction, and a `round_end` per round.
-pub fn run_full_traced(
+/// [`run_full`] observed by `obs`: one `run_start`/`run_end` bracket
+/// around the whole hierarchy, the per-round phase-1 event stream
+/// (supersteps, spans, syncs, metrics, with real round indices), one
+/// `contract` span tree per round (with `aggregate`/`exchange` children
+/// under [`ContractMode::Partitioned`]), an exchange `sync` event per
+/// partitioned contraction, and a `round_end` per round. The run-level
+/// span tree holds one `round` span per hierarchy round.
+pub fn run_full_observed(
     graph: &Graph,
     config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-) -> MultiGpuFullResult {
-    run_full_instrumented(graph, config, sink, &mut Profiler::disabled())
-}
-
-/// [`run_full_traced`] with a [`Profiler`] accumulating the run-level span
-/// tree: one `round` span per hierarchy round holding the merged
-/// `superstep` trees plus the round's `contract` span (with `aggregate` /
-/// `exchange` children under [`ContractMode::Partitioned`]).
-pub fn run_full_instrumented(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Observer,
 ) -> MultiGpuFullResult {
     let spec = rounds::Spec {
         algorithm: "multi-gpu",
@@ -557,7 +517,7 @@ pub fn run_full_instrumented(
         rounds: Vec::new(),
         contracts: Vec::new(),
     };
-    let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, sink, prof);
+    let (partition, modularity, _) = rounds::run(graph, &spec, &mut driver, obs);
     MultiGpuFullResult {
         partition,
         modularity,
@@ -574,14 +534,8 @@ struct FullRounds {
 }
 
 impl Driver for FullRounds {
-    fn phase1(
-        &mut self,
-        g: &Graph,
-        round: u32,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> Phase1 {
-        let mut result = run_phase1_round(g, self.config, sink, prof, round);
+    fn phase1(&mut self, g: &Graph, round: u32, obs: &mut Observer) -> Phase1 {
+        let mut result = run_phase1_round(g, self.config, obs, round);
         // The round record gets its partition back after phase 2.
         let communities = std::mem::replace(&mut result.partition, Partition::singletons(0));
         let p1 = Phase1 {
@@ -628,13 +582,13 @@ impl Driver for FullRounds {
         coarse
     }
 
-    fn contracted(&mut self, sink: &mut dyn TraceSink, superstep: u32) {
+    fn contracted(&mut self, obs: &mut Observer, superstep: u32) {
         // The exchange is the phase-2 analogue of a phase-1 sync: one event
         // per partitioned round (the host fallback exchanges nothing, so it
         // emits nothing).
         let stats = self.contracts.last().expect("phase 2 ran");
-        if sink.enabled() && stats.mode != "host" {
-            sink.emit(TraceEvent::Sync {
+        if stats.mode != "host" {
+            obs.emit(|| TraceEvent::Sync {
                 superstep,
                 mode: stats.mode.to_string(),
                 bytes: stats.exchange_bytes,
@@ -756,7 +710,11 @@ mod tests {
             ..MultiGpuConfig::default()
         };
         let mut sink = VecSink::default();
-        let traced = run_phase1_traced(&g, cfg, &mut sink);
+        let traced = run_phase1_observed(
+            &g,
+            cfg,
+            &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+        );
         assert_eq!(traced.partition, run_phase1(&g, cfg).partition);
 
         let syncs: Vec<_> = sink
@@ -804,8 +762,9 @@ mod tests {
         };
         let plain = run_phase1(&g, cfg);
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = run_phase1_instrumented(&g, cfg, &mut sink, &mut prof);
+        let mut obs = Observer::new(Some(&mut sink), Profiler::new());
+        let traced = run_phase1_observed(&g, cfg, &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
 
         let span_roots: Vec<_> = sink
@@ -827,7 +786,6 @@ mod tests {
             assert_eq!(root.child("decide").unwrap().counter("devices"), 4);
         }
         // Merged run-level tree: total sync bytes match the trace events.
-        let tree = prof.finish();
         let sync = tree
             .child("superstep")
             .and_then(|s| s.child("sync"))
@@ -853,7 +811,11 @@ mod tests {
             ..MultiGpuConfig::default()
         };
         let mut sink = VecSink::default();
-        let traced = run_phase1_traced(&g, cfg, &mut sink);
+        let traced = run_phase1_observed(
+            &g,
+            cfg,
+            &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+        );
         let regs: Vec<_> = sink
             .events
             .iter()
@@ -925,7 +887,11 @@ mod tests {
         };
         let plain = run_full(&g, cfg);
         let mut sink = VecSink::default();
-        let traced = run_full_traced(&g, cfg, &mut sink);
+        let traced = run_full_observed(
+            &g,
+            cfg,
+            &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+        );
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity.to_bits(), plain.modularity.to_bits());
 

@@ -5,19 +5,18 @@
 //! in how they run those two steps, so each supplies them through
 //! [`Driver`] and [`run`] owns the rest of the round loop: the
 //! `run_start`/`run_end` bracket, the per-round `round` span, the phase-2
-//! sub-profiler and its `span`/`profile` emission, composing every level
-//! into the flat partition of the original graph, contraction-scratch
-//! reclaim, `round_end` plus per-round progress, and the stop rule. The
-//! helpers below are the pieces the drivers' phase-1 loops share.
+//! span tree, composing every level into the flat partition of the
+//! original graph, contraction-scratch reclaim, the `round_end` hook, and
+//! the stop rule, all observed through one [`Observer`]. The helpers below
+//! are the pieces the drivers' phase-1 loops share.
 
-use crate::backend::{profile_event, BackendKind};
+use crate::backend::BackendKind;
 use crate::modularity::modularity;
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::{Counts, Observer, StepTallies, Superstep};
 use crate::state::BspState;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{TraceEvent, TraceSink};
 use std::time::Instant;
 
 /// The run-level facts the engine reports for a driver.
@@ -51,13 +50,7 @@ pub(crate) struct Phase1 {
 /// One hierarchy driver's two phases plus its view of the result.
 pub(crate) trait Driver {
     /// Runs phase 1 of `round` on `g`.
-    fn phase1(
-        &mut self,
-        g: &Graph,
-        round: u32,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> Phase1;
+    fn phase1(&mut self, g: &Graph, round: u32, obs: &mut Observer) -> Phase1;
 
     /// Contracts `g` by phase 1's `communities`, profiled into `sub`. The
     /// default is the host counting-sort contraction.
@@ -72,7 +65,7 @@ pub(crate) trait Driver {
     }
 
     /// Emits events that follow the round's phase-2 tree.
-    fn contracted(&mut self, _sink: &mut dyn TraceSink, _superstep: u32) {}
+    fn contracted(&mut self, _obs: &mut Observer, _superstep: u32) {}
 
     /// Sees each round's flat partition of the original `graph`; returns
     /// its modularity when the driver computes it.
@@ -102,14 +95,12 @@ pub(crate) fn run(
     graph: &Graph,
     spec: &Spec,
     driver: &mut impl Driver,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Observer,
 ) -> (Partition, f64, usize) {
-    run_start(sink, spec.algorithm, graph, spec.devices);
+    obs.run_start(spec.algorithm, graph, spec.devices);
     // Reclaiming each spent level into one scratch lets steady-state rounds
     // contract without fresh allocations.
     let mut scratch = CoarsenScratch::default();
-    let mut progress = ProgressReporter::new(spec.algorithm);
     let mut current: Option<Graph> = None; // None = the original graph
     let mut flat: Option<Partition> = None;
     let mut last_q = f64::NEG_INFINITY;
@@ -117,53 +108,34 @@ pub(crate) fn run(
     for round in 0..spec.max_rounds as u32 {
         rounds += 1;
         let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
+        obs.enter("round");
         let Phase1 {
             communities,
             supersteps,
             q,
-        } = driver.phase1(g, round, sink, prof);
-        let mut sub = sub_profiler(sink, prof);
+        } = driver.phase1(g, round, obs);
+        let mut sub = obs.sub_profiler();
         let Coarsened {
             graph: coarse,
             renumbered,
             num_communities,
         } = driver.phase2(g, communities, &mut sub, &mut scratch);
-        emit_tree(sink, prof, sub, spec.charge, round, supersteps, "contract");
-        driver.contracted(sink, supersteps);
-        prof.exit();
+        obs.emit_tree(sub, spec.charge, round, supersteps, "contract");
+        driver.contracted(obs, supersteps);
+        obs.exit();
         let composed = compose(flat.take(), renumbered, &mut scratch);
         let level = flat.insert(composed);
         let level_q = driver.level(graph, level);
-        if sink.enabled() || progress.live() {
-            // Flattened modularity costs a pass over the original graph, so
-            // drivers that compute neither Q pay for it only when observed.
-            let shown = level_q.or(q).unwrap_or_else(|| modularity(graph, level));
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round,
-                    supersteps,
-                    modularity: q.unwrap_or(shown),
-                    communities: num_communities as u64,
-                });
-            }
-            let (phase, arcs) = match q {
-                Some(_) => ("contract", coarse.num_arcs()),
-                None => ("phase1", g.num_arcs()),
-            };
-            progress.round(
-                sink,
-                round,
-                phase,
-                supersteps,
-                shown,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: arcs as u64,
-                },
-            );
-        }
+        // Drivers with a phase-1 Q reported phase 1's progress themselves,
+        // so the round's snapshot describes the contraction.
+        let progress = match q {
+            Some(_) => ("contract", coarse.num_arcs()),
+            None => ("phase1", g.num_arcs()),
+        };
+        // Flattened modularity costs a pass over the original graph, so
+        // drivers that compute neither Q pay for it only when observed.
+        let flat_q = || level_q.or(q).unwrap_or_else(|| modularity(graph, level));
+        obs.round_end(round, supersteps, num_communities, q, flat_q, progress);
         let stalled = num_communities == g.num_vertices();
         if stalled || q.is_some_and(|q| q - last_q < spec.theta) {
             break;
@@ -174,13 +146,7 @@ pub(crate) fn run(
         }
     }
     let (partition, q) = driver.finish(graph, flat);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity: q,
-            rounds: rounds as u32,
-            total_cycles: driver.total_cycles(),
-        });
-    }
+    obs.run_end(q, rounds as u32, driver.total_cycles());
     (partition, q, rounds)
 }
 
@@ -200,56 +166,6 @@ pub(crate) fn compose(
             composed
         }
     }
-}
-
-/// Emits the `run_start` event that opens a driver's trace.
-pub(crate) fn run_start(sink: &mut dyn TraceSink, algorithm: &str, graph: &Graph, devices: u32) {
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: algorithm.to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices,
-        });
-    }
-}
-
-/// A fresh profiler for one superstep's or phase's tree, disabled (a no-op)
-/// unless the run-level profiler or the sink wants span trees.
-pub(crate) fn sub_profiler(sink: &dyn TraceSink, prof: &Profiler) -> Profiler {
-    if prof.is_enabled() || sink.enabled() {
-        Profiler::new()
-    } else {
-        Profiler::disabled()
-    }
-}
-
-/// Finishes `sub`, emits its tree as a `span` event with its `profile`
-/// companion (charged to `charge`'s unit, or host wall time for `None`),
-/// and folds the tree into `prof`. A disabled `sub` does nothing.
-pub(crate) fn emit_tree(
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-    sub: Profiler,
-    charge: Option<BackendKind>,
-    round: u32,
-    superstep: u32,
-    phase: &str,
-) {
-    if !sub.is_enabled() {
-        return;
-    }
-    let tree = sub.finish();
-    if sink.enabled() {
-        sink.emit(TraceEvent::Span {
-            round,
-            superstep,
-            phase: phase.to_string(),
-            root: tree.clone(),
-        });
-        sink.emit(profile_event(charge, round, superstep, phase, &tree));
-    }
-    prof.absorb(tree);
 }
 
 /// Runs `contract` in a `contract` span that carries the phase-2 counters
@@ -286,87 +202,91 @@ pub(crate) fn host_decide<R>(p: &mut Profiler, items: usize, f: impl FnOnce() ->
     })
 }
 
-/// Runs a phase 1 that is one indivisible host pass (sequential Louvain,
-/// Leiden's local moving) as superstep 0 of `round`, traced like a
-/// superstep around [`host_decide`].
-pub(crate) fn host_pass<R>(
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-    round: u32,
-    items: usize,
-    f: impl FnOnce() -> R,
-) -> R {
-    let mut sub = sub_profiler(sink, prof);
-    let out = sub.scope("superstep", |p| host_decide(p, items, f));
-    emit_tree(sink, prof, sub, None, round, 0, "phase1");
-    out
-}
-
 /// BSP phase 1's per-superstep bookkeeping: dip-tolerant convergence and
-/// progress. Simultaneous greedy moves can overshoot and *lower* Q, but on
-/// weak-community graphs the optimum lies beyond several such dips.
-/// Following Grappolo's heuristics, phase 1 keeps going with bounded
-/// patience and ends in the best state seen, so a round never finishes
-/// below its peak and Theorem 6's guarantees carry to the system level.
+/// the `superstep` hook. Simultaneous greedy moves can overshoot and
+/// *lower* Q, but on weak-community graphs the optimum lies beyond several
+/// such dips. Following Grappolo's heuristics, phase 1 keeps going with
+/// bounded patience and ends in the best state seen, so a round never
+/// finishes below its peak and Theorem 6's guarantees carry to the system
+/// level.
 pub(crate) struct Phase1Tracker {
     best: BspState,
     best_q: f64,
+    /// Q after the latest superstep (the start state's before the first).
+    prev_q: f64,
     stagnant: usize,
     theta: f64,
     patience: usize,
-    progress: ProgressReporter,
     round: u32,
     supersteps: u32,
+    /// The round graph's vertices and arcs.
+    vertices: usize,
+    graph_arcs: u64,
     arcs: u64,
     /// Active and moved vertices of the latest superstep.
     last: (usize, usize),
 }
 
 impl Phase1Tracker {
-    /// Starts `driver`'s phase 1 of `round` from the initial `state` at
-    /// modularity `q` (a round may never end below its start).
+    /// Starts phase 1 of `round` on `graph` from the initial `state` (a
+    /// round may never end below its start).
     pub(crate) fn new(
-        driver: &'static str,
         round: u32,
+        graph: &Graph,
         state: &BspState,
-        q: f64,
         theta: f64,
         patience: usize,
     ) -> Self {
+        let q = state.modularity(graph);
         Self {
             best: state.clone(),
             best_q: q,
+            prev_q: q,
             stagnant: 0,
             theta,
             patience,
-            progress: ProgressReporter::new(driver),
             round,
             supersteps: 0,
+            vertices: graph.num_vertices(),
+            graph_arcs: graph.num_arcs() as u64,
             arcs: 0,
             last: (0, 0),
         }
     }
 
     /// Records a superstep that evaluated `active` vertices, moved `moved`
-    /// and left `state` at `q`; returns whether phase 1 should stop.
-    /// Progress is measured against the best state, never the previous
-    /// superstep: a θ-sized up-tick inside an oscillation is no convergence.
+    /// and left `state` at `q`, reports it to `obs` (with its `tallies`
+    /// when the driver traces supersteps), and returns whether phase 1
+    /// should stop. Progress is measured against the best state, never the
+    /// previous superstep: a θ-sized up-tick inside an oscillation is no
+    /// convergence.
     pub(crate) fn step(
         &mut self,
-        graph: &Graph,
+        obs: &mut Observer,
         state: &BspState,
         q: f64,
         active: usize,
         moved: usize,
+        tallies: Option<StepTallies>,
     ) -> bool {
         // Each superstep sweeps the active vertices' arcs; the estimate
         // scales the graph's arc count by the active fraction.
-        let n = graph.num_vertices();
+        let n = self.vertices;
         if n > 0 {
-            self.arcs += (graph.num_arcs() as u64).saturating_mul(active as u64) / n as u64;
+            self.arcs += self.graph_arcs.saturating_mul(active as u64) / n as u64;
         }
-        let counts = Counts::from_counts(active, moved, n, self.arcs);
-        (self.progress).superstep(self.round, "phase1", self.supersteps, q, counts);
+        obs.superstep(&Superstep {
+            round: self.round,
+            superstep: self.supersteps,
+            vertices: n,
+            active,
+            moved,
+            modularity: q,
+            delta_q: q - self.prev_q,
+            arcs: self.arcs,
+            tallies,
+        });
+        self.prev_q = q;
         self.supersteps += 1;
         self.last = (active, moved);
         if q > self.best_q {
@@ -392,18 +312,13 @@ impl Phase1Tracker {
         self.best_q
     }
 
-    /// [`Self::restore`], then one deterministic `progress` event for the
-    /// round.
-    pub(crate) fn finish(
-        mut self,
-        sink: &mut dyn TraceSink,
-        state: &mut BspState,
-        graph: &Graph,
-    ) -> f64 {
+    /// [`Self::restore`], then one deterministic `progress` snapshot for
+    /// the round.
+    pub(crate) fn finish(mut self, obs: &mut Observer, state: &mut BspState, graph: &Graph) -> f64 {
         let best_q = self.restore(state, graph);
         let (active, moved) = self.last;
-        let counts = Counts::from_counts(active, moved, graph.num_vertices(), self.arcs);
-        (self.progress).round(sink, self.round, "phase1", self.supersteps, best_q, counts);
+        let counts = Counts::from_counts(active, moved, self.vertices, self.arcs);
+        obs.progress(self.round, "phase1", self.supersteps, best_q, counts);
         best_q
     }
 }

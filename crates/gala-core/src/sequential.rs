@@ -6,11 +6,10 @@
 //! compared against, and the slowest baseline of Figure 5.
 
 use crate::leiden::{local_move, LeidenConfig, SweepScratch};
+use crate::observe::Observer;
 use crate::rounds::{self, Driver, Phase1};
-use gala_gpu::profile::Profiler;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{NullSink, TraceSink};
 
 /// Configuration for the sequential baseline.
 #[derive(Clone, Copy, Debug)]
@@ -46,21 +45,20 @@ pub struct SequentialResult {
 
 /// Runs sequential Louvain to convergence.
 pub fn sequential_louvain(graph: &Graph, config: SequentialConfig) -> SequentialResult {
-    sequential_louvain_instrumented(graph, config, &mut NullSink, &mut Profiler::disabled())
+    sequential_louvain_observed(graph, config, &mut Observer::off())
 }
 
-/// [`sequential_louvain`] with tracing: emits the same `run_start` /
+/// [`sequential_louvain`] observed by `obs`: emits the same `run_start` /
 /// `span` / `profile` / `round_end` / `run_end` event sequence as the BSP
 /// drivers, with one wall-clock-timed `superstep` span tree per round
 /// (sequential phase 1 is one indivisible host pass) plus the usual
 /// `contract` tree. All spans charge host nanoseconds — this baseline has
 /// no simulated device, so its `profile` events carry the `"host"`
 /// backend and unit `"ns"`.
-pub fn sequential_louvain_instrumented(
+pub fn sequential_louvain_observed(
     graph: &Graph,
     config: SequentialConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Observer,
 ) -> SequentialResult {
     let spec = rounds::Spec {
         algorithm: "sequential",
@@ -78,7 +76,7 @@ pub fn sequential_louvain_instrumented(
         },
         sweep: SweepScratch::default(),
     };
-    let (partition, modularity, rounds) = rounds::run(graph, &spec, &mut driver, sink, prof);
+    let (partition, modularity, rounds) = rounds::run(graph, &spec, &mut driver, obs);
     SequentialResult {
         partition,
         modularity,
@@ -93,15 +91,9 @@ struct SequentialRounds {
 }
 
 impl Driver for SequentialRounds {
-    fn phase1(
-        &mut self,
-        g: &Graph,
-        round: u32,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> Phase1 {
+    fn phase1(&mut self, g: &Graph, round: u32, obs: &mut Observer) -> Phase1 {
         let mut comm: Vec<CommunityId> = (0..g.num_vertices() as CommunityId).collect();
-        rounds::host_pass(sink, prof, round, g.num_vertices(), || {
+        obs.host_pass(round, g.num_vertices(), || {
             local_move(g, &mut comm, &self.moving, &mut self.sweep)
         });
         Phase1 {
@@ -160,13 +152,14 @@ mod tests {
 
     #[test]
     fn instrumented_run_emits_host_profile_events() {
+        use gala_gpu::profile::Profiler;
         use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = sequential_louvain(&g, SequentialConfig::default());
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced =
-            sequential_louvain_instrumented(&g, SequentialConfig::default(), &mut sink, &mut prof);
+        let mut obs = Observer::new(Some(&mut sink), Profiler::new());
+        let traced = sequential_louvain_observed(&g, SequentialConfig::default(), &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
         let profiles: Vec<_> = sink
@@ -190,7 +183,6 @@ mod tests {
         let decide = spans.iter().find(|s| s.path == "superstep/decide").unwrap();
         assert!(decide.total > 0.0, "decide must carry wall time");
         assert_eq!(decide.components.compute, decide.total);
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert!(round.child("superstep").is_some());
         assert!(round.child("contract").is_some());

@@ -1,5 +1,7 @@
-//! Golden trace test: every hierarchy driver's event stream on one seeded
-//! graph, compared line by line against `tests/data/driver_traces.golden`.
+//! Golden trace tests: every hierarchy driver's event stream on one seeded
+//! graph, compared line by line against `tests/data/driver_traces.golden`,
+//! and the phase-1-only entries against
+//! `tests/data/driver_traces_phase1.golden`.
 //!
 //! Each event becomes one line: its JSON form with wall-clock fields
 //! removed (`elapsed_ns` span counters, `rss_bytes`, and the totals of
@@ -11,15 +13,20 @@
 //! digests of the result partition, its modularity bits and the run-level
 //! profiler tree.
 //!
-//! On a mismatch the test writes the fresh rendering next to the build's
-//! temporary files and names it in the failure message.
+//! A third test runs every hierarchy driver with each observer channel
+//! off in turn and checks that observation never changes the result and
+//! that each channel sees what it sees in the fully observed run.
+//!
+//! On a mismatch a golden test writes the fresh rendering next to the
+//! build's temporary files and names it in the failure message.
 
 use gala_core::backend::BackendKind;
-use gala_core::grappolo::grappolo_instrumented;
-use gala_core::leiden::{leiden_instrumented, LeidenConfig};
+use gala_core::grappolo::grappolo_observed;
+use gala_core::leiden::{leiden_observed, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
-use gala_core::multi_gpu::{run_full_instrumented, ContractMode, MultiGpuConfig};
-use gala_core::sequential::{sequential_louvain_instrumented, SequentialConfig};
+use gala_core::multi_gpu::{self, ContractMode, MultiGpuConfig};
+use gala_core::observe::Observer;
+use gala_core::sequential::{sequential_louvain_observed, SequentialConfig};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::{Graph, Partition};
@@ -28,6 +35,7 @@ use gala_telemetry::{TraceEvent, Value, VecSink};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("data/driver_traces.golden");
+const GOLDEN_PHASE1: &str = include_str!("data/driver_traces_phase1.golden");
 
 /// Members whose content is summarised by a digest instead of inlined.
 const DIGESTED: [&str; 5] = ["root", "spans", "registry", "decide_tally", "weight_tally"];
@@ -93,94 +101,233 @@ fn tree_digest(tree: &SpanRecord) -> String {
     fnv(v.to_string().into_bytes())
 }
 
-fn block(name: &str, sink: VecSink, prof: Profiler, partition: &Partition, q: f64) -> String {
-    let mut out = format!("== {name}\n");
-    for event in &sink.events {
-        out.push_str(&event_line(event));
-        out.push('\n');
-    }
-    let assignment = partition.assignment().iter().flat_map(|c| c.to_le_bytes());
-    writeln!(
-        out,
-        "result partition={} communities={} q={:016x} profiler={}",
-        fnv(assignment),
-        partition.num_communities(),
-        q.to_bits(),
-        tree_digest(&prof.finish())
-    )
-    .expect("writing to a String cannot fail");
-    out
+/// One driver entry point: runs on the graph under the observer and
+/// returns the result partition and its modularity.
+type Entry = fn(&Graph, &mut Observer) -> (Partition, f64);
+
+fn louvain(g: &Graph, config: LouvainConfig, obs: &mut Observer) -> (Partition, f64) {
+    let r = Louvain::new(config).run_observed(g, obs);
+    (r.partition, r.modularity)
 }
 
-fn louvain(name: &str, g: &Graph, config: LouvainConfig) -> String {
-    let (mut sink, mut prof) = (VecSink::default(), Profiler::new());
-    let r = Louvain::new(config).run_instrumented(g, &mut sink, &mut prof);
-    block(name, sink, prof, &r.partition, r.modularity)
-}
-
-fn multi_gpu(name: &str, g: &Graph, contract: ContractMode) -> String {
-    let (mut sink, mut prof) = (VecSink::default(), Profiler::new());
+fn multi_gpu(g: &Graph, contract: ContractMode, obs: &mut Observer) -> (Partition, f64) {
     let config = MultiGpuConfig {
         num_devices: 2,
         contract,
         ..MultiGpuConfig::default()
     };
-    let r = run_full_instrumented(g, config, &mut sink, &mut prof);
-    block(name, sink, prof, &r.partition, r.modularity)
+    let r = multi_gpu::run_full_observed(g, config, obs);
+    (r.partition, r.modularity)
 }
 
-fn render_all() -> String {
-    let g = fixture_graph();
+/// The eight hierarchy configurations of `driver_traces.golden`, in order.
+fn hierarchy_drivers() -> [(&'static str, Entry); 8] {
+    [
+        ("louvain-sim", |g, obs| {
+            louvain(g, LouvainConfig::default(), obs)
+        }),
+        ("louvain-native", |g, obs| {
+            let config = LouvainConfig {
+                backend: BackendKind::Native,
+                ..LouvainConfig::default()
+            };
+            louvain(g, config, obs)
+        }),
+        ("louvain-refine", |g, obs| {
+            let config = LouvainConfig {
+                refine: true,
+                ..LouvainConfig::default()
+            };
+            louvain(g, config, obs)
+        }),
+        ("run-full-host-2", |g, obs| {
+            multi_gpu(g, ContractMode::Host, obs)
+        }),
+        ("run-full-partitioned-2", |g, obs| {
+            multi_gpu(g, ContractMode::Partitioned, obs)
+        }),
+        ("leiden", |g, obs| {
+            let r = leiden_observed(g, LeidenConfig::default(), obs);
+            (r.partition, r.modularity)
+        }),
+        ("sequential", |g, obs| {
+            let r = sequential_louvain_observed(g, SequentialConfig::default(), obs);
+            (r.partition, r.modularity)
+        }),
+        ("grappolo", |g, obs| {
+            let r = grappolo_observed(g, 1e-6, obs);
+            (r.partition, r.modularity)
+        }),
+    ]
+}
+
+/// The phase-1-only entries of `driver_traces_phase1.golden`, in order.
+fn phase1_drivers() -> [(&'static str, Entry); 4] {
+    fn louvain(g: &Graph, backend: BackendKind, obs: &mut Observer) -> (Partition, f64) {
+        let runner = Louvain::new(LouvainConfig {
+            backend,
+            ..LouvainConfig::default()
+        });
+        let (state, stats) = runner.run_phase1_observed(g, obs);
+        (state.partition(), stats.modularity)
+    }
+    fn multi_gpu(g: &Graph, backend: BackendKind, obs: &mut Observer) -> (Partition, f64) {
+        let config = MultiGpuConfig {
+            num_devices: 2,
+            backend,
+            ..MultiGpuConfig::default()
+        };
+        let r = multi_gpu::run_phase1_observed(g, config, obs);
+        (r.partition, r.modularity)
+    }
+    [
+        ("louvain-phase1-sim", |g, obs| {
+            louvain(g, BackendKind::Sim, obs)
+        }),
+        ("multi-gpu-phase1-2-sim", |g, obs| {
+            multi_gpu(g, BackendKind::Sim, obs)
+        }),
+        ("louvain-phase1-native", |g, obs| {
+            louvain(g, BackendKind::Native, obs)
+        }),
+        ("multi-gpu-phase1-2-native", |g, obs| {
+            multi_gpu(g, BackendKind::Native, obs)
+        }),
+    ]
+}
+
+/// Which observer channels a run has on.
+#[derive(Clone, Copy, Debug)]
+enum Channels {
+    /// Sink and profiler.
+    Full,
+    /// [`Observer::off`].
+    Off,
+    /// Profiler only, as `gala detect --report` without `--trace`.
+    Profiler,
+    /// Sink only.
+    Sink,
+}
+
+/// What one observed run produced.
+struct Observed {
+    events: Vec<TraceEvent>,
+    tree: SpanRecord,
+    partition: Partition,
+    q: f64,
+}
+
+fn observe(entry: Entry, g: &Graph, channels: Channels) -> Observed {
+    let mut sink = VecSink::default();
+    let mut obs = match channels {
+        Channels::Full => Observer::new(Some(&mut sink), Profiler::new()),
+        Channels::Off => Observer::off(),
+        Channels::Profiler => Observer::new(None, Profiler::new()),
+        Channels::Sink => Observer::new(Some(&mut sink), Profiler::disabled()),
+    };
+    let (partition, q) = entry(g, &mut obs);
+    let tree = obs.finish();
+    Observed {
+        events: sink.events,
+        tree,
+        partition,
+        q,
+    }
+}
+
+fn events_block(events: &[TraceEvent]) -> String {
     let mut out = String::new();
-    out += &louvain("louvain-sim", &g, LouvainConfig::default());
-    out += &louvain(
-        "louvain-native",
-        &g,
-        LouvainConfig {
-            backend: BackendKind::Native,
-            ..LouvainConfig::default()
-        },
-    );
-    out += &louvain(
-        "louvain-refine",
-        &g,
-        LouvainConfig {
-            refine: true,
-            ..LouvainConfig::default()
-        },
-    );
-    out += &multi_gpu("run-full-host-2", &g, ContractMode::Host);
-    out += &multi_gpu("run-full-partitioned-2", &g, ContractMode::Partitioned);
-
-    let (mut sink, mut prof) = (VecSink::default(), Profiler::new());
-    let r = leiden_instrumented(&g, LeidenConfig::default(), &mut sink, &mut prof);
-    out += &block("leiden", sink, prof, &r.partition, r.modularity);
-
-    let (mut sink, mut prof) = (VecSink::default(), Profiler::new());
-    let r = sequential_louvain_instrumented(&g, SequentialConfig::default(), &mut sink, &mut prof);
-    out += &block("sequential", sink, prof, &r.partition, r.modularity);
-
-    let (mut sink, mut prof) = (VecSink::default(), Profiler::new());
-    let r = grappolo_instrumented(&g, 1e-6, &mut sink, &mut prof);
-    out += &block("grappolo", sink, prof, &r.partition, r.modularity);
+    for event in events {
+        out.push_str(&event_line(event));
+        out.push('\n');
+    }
     out
+}
+
+fn block(name: &str, run: &Observed) -> String {
+    let mut out = format!("== {name}\n");
+    out += &events_block(&run.events);
+    let assignment = run
+        .partition
+        .assignment()
+        .iter()
+        .flat_map(|c| c.to_le_bytes());
+    writeln!(
+        out,
+        "result partition={} communities={} q={:016x} profiler={}",
+        fnv(assignment),
+        run.partition.num_communities(),
+        run.q.to_bits(),
+        tree_digest(&run.tree)
+    )
+    .expect("writing to a String cannot fail");
+    out
+}
+
+fn render(drivers: &[(&str, Entry)]) -> String {
+    let g = fixture_graph();
+    let runs = drivers
+        .iter()
+        .map(|&(name, entry)| block(name, &observe(entry, &g, Channels::Full)));
+    runs.collect()
+}
+
+fn check_golden(actual: &str, golden: &str, file: &str) {
+    if actual != golden {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{file}.actual"));
+        std::fs::write(&path, actual).expect("write actual trace rendering");
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "driver traces differ from {file} at line {}; fresh rendering written to {}",
+            first + 1,
+            path.display()
+        );
+    }
 }
 
 #[test]
 fn driver_traces_match_golden_fixture() {
-    let actual = render_all();
-    if actual != GOLDEN {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("driver_traces.actual");
-        std::fs::write(&path, &actual).expect("write actual trace rendering");
-        let first = actual
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| actual.lines().count().min(GOLDEN.lines().count()));
-        panic!(
-            "driver traces differ from the golden fixture at line {}; fresh rendering written to {}",
-            first + 1,
-            path.display()
-        );
+    let actual = render(&hierarchy_drivers());
+    check_golden(&actual, GOLDEN, "driver_traces.golden");
+}
+
+#[test]
+fn phase1_traces_match_golden_fixture() {
+    let actual = render(&phase1_drivers());
+    check_golden(&actual, GOLDEN_PHASE1, "driver_traces_phase1.golden");
+}
+
+#[test]
+fn each_observer_channel_sees_what_the_full_run_sees() {
+    let g = fixture_graph();
+    for (name, entry) in hierarchy_drivers() {
+        let full = observe(entry, &g, Channels::Full);
+        for channels in [Channels::Off, Channels::Profiler, Channels::Sink] {
+            let run = observe(entry, &g, channels);
+            let what = format!("{name} with {channels:?}");
+            assert_eq!(run.partition, full.partition, "{what}: partition");
+            assert_eq!(run.q.to_bits(), full.q.to_bits(), "{what}: modularity");
+            match channels {
+                Channels::Off => {
+                    assert!(run.events.is_empty(), "{what}: events");
+                    assert!(run.tree.children.is_empty(), "{what}: span tree");
+                }
+                Channels::Profiler => {
+                    assert!(run.events.is_empty(), "{what}: events");
+                    let digest = tree_digest(&run.tree);
+                    assert_eq!(digest, tree_digest(&full.tree), "{what}: span tree");
+                }
+                Channels::Sink => {
+                    let events = events_block(&run.events);
+                    assert_eq!(events, events_block(&full.events), "{what}: events");
+                    assert!(run.tree.children.is_empty(), "{what}: span tree");
+                }
+                Channels::Full => unreachable!("compared against itself"),
+            }
+        }
     }
 }

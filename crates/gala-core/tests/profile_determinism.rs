@@ -11,6 +11,8 @@
 use gala_core::kernels::hashtable::HashConfig;
 use gala_core::kernels::KernelKind;
 use gala_core::louvain::{Louvain, LouvainConfig};
+use gala_core::observe::Observer;
+use gala_gpu::profile::Profiler;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
 use gala_telemetry::{ProfileSpan, TraceEvent, VecSink};
@@ -37,7 +39,10 @@ fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec
         kernel,
         ..LouvainConfig::default()
     })
-    .run_traced(graph, &mut sink);
+    .run_observed(
+        graph,
+        &mut Observer::new(Some(&mut sink), Profiler::disabled()),
+    );
     sink.events
         .into_iter()
         .filter_map(|e| match e {

@@ -24,11 +24,19 @@ pub trait EdgeSink {
     fn reserve_vertices(&mut self, n: usize);
 }
 
-/// Validates an edge weight (shared by every [`EdgeSink`]).
+/// Whether `w` is a valid edge weight: finite and `>= 0`.
+#[inline]
+pub(crate) fn valid_weight(w: f64) -> bool {
+    w.is_finite() && w >= 0.0
+}
+
+/// Validates an edge weight (shared by every [`EdgeSink`]). The file
+/// readers check [`valid_weight`] first and report a bad weight as an
+/// error with its line number.
 #[inline]
 pub(crate) fn assert_weight(w: f64) {
     assert!(
-        w.is_finite() && w >= 0.0,
+        valid_weight(w),
         "edge weight must be finite and >= 0, got {w}"
     );
 }

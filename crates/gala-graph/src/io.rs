@@ -105,13 +105,15 @@ fn parse_vertex(tok: &[u8], lineno: usize, what: &str) -> io::Result<VertexId> {
     Ok(val as VertexId)
 }
 
+/// Parses a weight token; NaN, infinite and negative weights are errors.
 fn parse_weight(tok: &[u8], lineno: usize) -> io::Result<f64> {
     std::str::from_utf8(tok)
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|&w| crate::builder::valid_weight(w))
         .ok_or_else(|| {
             bad_data(format!(
-                "line {lineno}: invalid weight '{}'",
+                "line {lineno}: invalid weight '{}' (must be finite and >= 0)",
                 String::from_utf8_lossy(tok)
             ))
         })
@@ -558,8 +560,12 @@ mod tests {
     fn text_rejects_garbage_with_line_number() {
         let err = read_edge_list(Cursor::new("0 1\n0 x\n")).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
-        let err = read_edge_list(Cursor::new("0 1 bogus\n")).unwrap_err();
-        assert!(err.to_string().contains("invalid weight"), "{err}");
+        for bad in ["bogus", "nan", "NaN", "inf", "-inf", "-2", "1e400"] {
+            let err = read_edge_list(Cursor::new(format!("0 1\n0 1 {bad}\n"))).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("line 2: invalid weight"), "{bad}: {msg}");
+        }
     }
 
     #[test]

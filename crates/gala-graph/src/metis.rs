@@ -74,7 +74,9 @@ pub fn read_metis<R: BufRead>(reader: R) -> io::Result<Graph> {
             }
             let w = if weighted {
                 let wt = it.next().ok_or_else(|| bad(lno, "missing edge weight"))?;
-                wt.parse::<f64>().map_err(|_| bad(lno, "bad edge weight"))?
+                let w = wt.parse::<f64>().ok();
+                let w = w.filter(|&w| crate::builder::valid_weight(w));
+                w.ok_or_else(|| bad(lno, "bad edge weight (must be finite and >= 0)"))?
             } else {
                 1.0
             };
@@ -185,6 +187,18 @@ mod tests {
     fn rejects_out_of_range_neighbor() {
         let text = "2 1\n5\n\n";
         assert!(read_metis(Cursor::new(text)).is_err());
+    }
+
+    #[test]
+    fn rejects_malformed_edge_weights() {
+        for w in ["x", "nan", "inf", "-1"] {
+            // Vertex 1's line (file line 2) holds the bad weight.
+            let text = format!("3 2 001\n2 {w}\n1 1 3 1\n2 1\n");
+            let err = read_metis(Cursor::new(text)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("metis line 2: bad edge weight"), "{w}: {msg}");
+        }
     }
 
     #[test]
