@@ -3,8 +3,8 @@
 //!
 //! For every [`KernelKind`] this binary runs full Louvain through the
 //! simulated *and* the native backend on the same seeded SBM graph,
-//! collects both runs' schema-4 `profile` events in-process, joins them
-//! through [`Attribution`], and reports the fitted clock plus the decide
+//! flattens both runs' span trees in-process, joins the rows through
+//! [`Attribution`], and reports the fitted clock plus the decide
 //! and contract residuals per kernel — the same join `gala profile`
 //! performs on trace files, exercised here without any file plumbing so
 //! CI can smoke it cheaply.
@@ -29,7 +29,7 @@ use gala_core::observe::Observer;
 use gala_gpu::profile::Profiler;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
-use gala_telemetry::{Attribution, AttributionReport, TraceEvent, VecSink};
+use gala_telemetry::{Attribution, AttributionReport, ProfileSpan, TraceEvent, Unit, VecSink};
 
 /// Residuals outside this band trip the `--gate`.
 const GATE_RESIDUAL_BAND: (f64, f64) = (0.05, 20.0);
@@ -45,16 +45,13 @@ fn kernels() -> [(&'static str, KernelKind); 6] {
     ]
 }
 
-/// Runs one backend and returns its partition plus profile events as
-/// `(unit, spans)` pairs.
+/// Runs one backend and returns its partition plus each span tree's rows
+/// with their unit.
 fn traced_run(
     graph: &Graph,
     kernel: KernelKind,
     backend: BackendKind,
-) -> (
-    gala_graph::Partition,
-    Vec<(String, Vec<gala_telemetry::ProfileSpan>)>,
-) {
+) -> (gala_graph::Partition, Vec<(Unit, Vec<ProfileSpan>)>) {
     let mut sink = VecSink::default();
     let result = Louvain::new(LouvainConfig {
         kernel,
@@ -65,28 +62,31 @@ fn traced_run(
         graph,
         &mut Observer::new(Some(&mut sink), Profiler::disabled()),
     );
-    let profiles = sink
+    let rows = sink
         .events
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Profile { unit, spans, .. } => Some((unit, spans)),
+            TraceEvent::Span { backend, root, .. } => {
+                let unit = backend.unit();
+                Some((unit, unit.rows(&root)))
+            }
             _ => None,
         })
         .collect();
-    (result.partition, profiles)
+    (result.partition, rows)
 }
 
 /// Joins one kernel kind's sim and native runs.
 fn attribute(graph: &Graph, name: &str, kernel: KernelKind) -> AttributionReport {
-    let (sim_partition, sim_profiles) = traced_run(graph, kernel, BackendKind::Sim);
-    let (native_partition, native_profiles) = traced_run(graph, kernel, BackendKind::Native);
+    let (sim_partition, sim_rows) = traced_run(graph, kernel, BackendKind::Sim);
+    let (native_partition, native_rows) = traced_run(graph, kernel, BackendKind::Native);
     assert_eq!(
         sim_partition, native_partition,
         "{name}: backends diverged on assignments"
     );
     let mut attr = Attribution::new();
-    for (unit, spans) in &sim_profiles {
-        assert_eq!(unit, "cycles", "{name}: sim trace must charge cycles");
+    for (unit, spans) in &sim_rows {
+        assert_eq!(*unit, Unit::Cycles, "{name}: sim trace must charge cycles");
         for span in spans {
             assert_eq!(
                 span.components.total(),
@@ -97,8 +97,8 @@ fn attribute(graph: &Graph, name: &str, kernel: KernelKind) -> AttributionReport
         }
         attr.add_sim(spans);
     }
-    for (unit, spans) in &native_profiles {
-        assert_eq!(unit, "ns", "{name}: native trace must charge wall ns");
+    for (unit, spans) in &native_rows {
+        assert_eq!(*unit, Unit::Ns, "{name}: native trace must charge wall ns");
         attr.add_native(spans);
     }
     attr.resolve()

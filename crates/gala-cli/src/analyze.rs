@@ -20,8 +20,8 @@ use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_telemetry::recorder::{self, LogEvent, ProgressSnapshot};
 use gala_telemetry::{
-    json, profile_span_from_json, span_from_json, tally_from_json, MetricsRegistry, ProfileSpan,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    json, span_from_json, tally_from_json, MetricsRegistry, SpanBackend, Unit, MIN_SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 
 /// One `superstep` event, decoded.
@@ -80,11 +80,13 @@ const EXCHANGE_BYTES_PER_MEMBER: u64 = 8;
 const EXCHANGE_BYTES_PER_ARC: u64 = 12;
 
 /// What `--check` needs from one `span` event. The tree itself is merged
-/// into [`Trace::merged_root`] at parse time and dropped, so a trace with
+/// into [`Trace::merged`] at parse time and dropped, so a trace with
 /// thousands of supersteps never holds every tree at once.
 #[derive(Clone, Debug)]
 struct SpanCheck {
     phase: String,
+    /// The backend the tree names (schema 6+); `None` on older traces.
+    backend: Option<SpanBackend>,
     tally: MemTally,
     /// Present only on partitioned phase-2 contract spans.
     exchange: Option<ExchangeCheck>,
@@ -98,15 +100,6 @@ struct SpanTree {
     superstep: u64,
     phase: String,
     root: SpanRecord,
-}
-
-/// One `profile` event, decoded (schema 4+ traces only).
-#[derive(Clone, Debug)]
-struct ProfileCheck {
-    phase: String,
-    backend: String,
-    unit: String,
-    spans: Vec<ProfileSpan>,
 }
 
 /// The `run_end` summary.
@@ -128,13 +121,14 @@ struct Trace {
     syncs: Vec<SyncEvent>,
     span_checks: Vec<SpanCheck>,
     metrics: Vec<MetricsEvent>,
-    profiles: Vec<ProfileCheck>,
     /// Individual span trees, retained only when loaded with
     /// `keep_spans` (the chrome-trace exporter); empty otherwise.
     span_trees: Vec<SpanTree>,
-    /// All span trees merged by name in first-seen order (the in-process
-    /// profiler's rule), built incrementally while streaming the file.
-    merged_root: SpanRecord,
+    /// The span trees merged by name in first-seen order (the in-process
+    /// profiler's rule), one merged tree per unit they are charged in
+    /// (cycles before ns; units without trees left out), built
+    /// incrementally while streaming the file.
+    merged: Vec<(Unit, SpanRecord)>,
     /// Flight-recorder ring lines drained into the trace (schema 5+).
     logs: Vec<LogEvent>,
     /// Deterministic per-round driver snapshots (schema 5+).
@@ -187,7 +181,7 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let reader = std::io::BufReader::new(file);
     let mut trace = Trace::default();
-    let mut merger = Profiler::new();
+    let mut mergers = [Unit::Cycles, Unit::Ns].map(|unit| (unit, Profiler::new()));
     for (idx, raw) in reader.lines().enumerate() {
         let line = idx + 1;
         let raw = raw.map_err(|e| format!("{path} line {line}: {e}"))?;
@@ -236,6 +230,17 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
                     .get("root")
                     .and_then(span_from_json)
                     .ok_or_else(|| format!("{path} line {line}: bad span tree"))?;
+                let backend = match v.get("backend") {
+                    Some(b) => Some(b.as_str().and_then(SpanBackend::parse).ok_or_else(|| {
+                        format!("{path} line {line}: unknown span backend {}", b.render())
+                    })?),
+                    None if schema < 6 => None,
+                    None => {
+                        return Err(
+                            format!("{path} line {line}: span event missing `backend`").into()
+                        )
+                    }
+                };
                 let exchange = root
                     .child("contract")
                     .and_then(|c| c.child("exchange"))
@@ -250,6 +255,7 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
                     });
                 trace.span_checks.push(SpanCheck {
                     phase: field_str(&v, "phase", line)?,
+                    backend,
                     tally: root.total_tally(),
                     exchange,
                 });
@@ -261,24 +267,15 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
                         root: root.clone(),
                     });
                 }
-                merger.absorb(root);
+                // Spans that name no backend (schemas 2 to 5) are charged
+                // in simulated cycles.
+                let unit = backend.map_or(Unit::Cycles, SpanBackend::unit);
+                let merger = mergers.iter_mut().find(|(u, _)| *u == unit);
+                merger.expect("a merger per unit").1.absorb(root);
             }
-            "profile" => {
-                let spans = v
-                    .get("spans")
-                    .and_then(json::Value::as_array)
-                    .ok_or_else(|| format!("{path} line {line}: profile event missing `spans`"))?
-                    .iter()
-                    .map(profile_span_from_json)
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| format!("{path} line {line}: bad profile span"))?;
-                trace.profiles.push(ProfileCheck {
-                    phase: field_str(&v, "phase", line)?,
-                    backend: field_str(&v, "backend", line)?,
-                    unit: field_str(&v, "unit", line)?,
-                    spans,
-                });
-            }
+            // Schemas 4 and 5 repeated each span tree as a `profile` event's
+            // rows; the tree itself is what this reader charges.
+            "profile" if schema < 6 => {}
             "metrics" => {
                 let registry = v
                     .get("registry")
@@ -314,7 +311,11 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
     if trace.events == 0 {
         return Err(format!("{path}: empty trace").into());
     }
-    trace.merged_root = merger.finish();
+    trace.merged = mergers
+        .into_iter()
+        .map(|(unit, merger)| (unit, merger.finish()))
+        .filter(|(_, root)| !root.children.is_empty())
+        .collect();
     Ok(trace)
 }
 
@@ -457,31 +458,6 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
             .into());
         }
     }
-    for (i, ev) in trace.profiles.iter().enumerate() {
-        let at = format!("{path}: profile event {i}");
-        if ev.unit != "cycles" && ev.unit != "ns" {
-            return Err(format!("{at} has unknown unit `{}`", ev.unit).into());
-        }
-        if ev.phase != "phase1" && ev.phase != "contract" {
-            return Err(format!("{at} has unknown phase `{}`", ev.phase).into());
-        }
-        for span in &ev.spans {
-            if !span.total.is_finite() || span.total < 0.0 {
-                return Err(format!("{at}: span `{}` has a bad total", span.path).into());
-            }
-            // Sim charges are derived from integer-weighted tallies, so the
-            // partition is exact — any gap means a corrupted event.
-            if ev.unit == "cycles" && span.components.total() != span.total {
-                return Err(format!(
-                    "{at}: span `{}` components sum to {} but total is {}",
-                    span.path,
-                    span.components.total(),
-                    span.total
-                )
-                .into());
-            }
-        }
-    }
     // Flight-recorder lines: the ring drains one contiguous window, so the
     // sequence numbers must run without gaps — a jump means lines were lost
     // between the drain and the trace write, not by the (accounted) ring
@@ -537,14 +513,13 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
     }
     Ok(format!(
         "ok: {} events ({} supersteps, {} rounds, {} span trees, {} syncs, \
-         {} metrics, {} profiles, {} logs, {} progress), final Q = {:.5}",
+         {} metrics, {} logs, {} progress), final Q = {:.5}",
         trace.events,
         trace.supersteps.len(),
         trace.round_ends.max(end.rounds),
         trace.span_checks.len(),
         trace.syncs.len(),
         trace.metrics.len(),
-        trace.profiles.len(),
         trace.logs.len(),
         trace.progress.len(),
         end.modularity,
@@ -675,67 +650,74 @@ fn scale(values: Vec<f64>, k: f64) -> Vec<f64> {
     values.into_iter().map(|v| v * k).collect()
 }
 
-/// One row of the span summary: slash-joined path plus cycle attribution.
-struct SpanRow {
-    path: String,
-    invocations: u64,
-    self_cycles: f64,
-    total_cycles: f64,
-}
-
-fn flatten_spans(span: &SpanRecord, prefix: &str, cost: &CostModel, out: &mut Vec<SpanRow>) {
-    for child in &span.children {
-        let path = if prefix.is_empty() {
-            child.name.clone()
-        } else {
-            format!("{prefix}/{}", child.name)
-        };
-        out.push(SpanRow {
-            path: path.clone(),
-            invocations: child.invocations,
-            self_cycles: child.self_cycles(cost),
-            total_cycles: child.total_cycles(cost),
-        });
-        flatten_spans(child, &path, cost, out);
-    }
-}
-
-/// Flamegraph-style top-N table: spans ranked by self cycles under the
-/// default cost model, with a share bar against the busiest span.
+/// Flamegraph-style top-N tables, one per unit the span trees are charged
+/// in (simulated cycles, wall ns), each ranked by self charge in its unit
+/// with a share bar against its busiest span.
 fn render_span_summary(trace: &Trace, top: usize) -> String {
-    let cost = CostModel::default();
-    let mut rows = Vec::new();
-    flatten_spans(&trace.merged_root, "", &cost, &mut rows);
-    if rows.is_empty() {
+    if trace.merged.is_empty() {
         return "no span events in trace (produced by an older build?)\n".to_string();
     }
-    let total_self: f64 = rows.iter().map(|r| r.self_cycles).sum();
-    rows.sort_by(|a, b| {
-        b.self_cycles
-            .partial_cmp(&a.self_cycles)
+    let tables: Vec<String> = trace
+        .merged
+        .iter()
+        .map(|(unit, root)| span_table(*unit, root, top))
+        .collect();
+    tables.join("\n")
+}
+
+fn span_table(unit: Unit, root: &SpanRecord, top: usize) -> String {
+    let rows = unit.rows(root);
+    // Rows are in pre-order, so a span's descendants follow it directly.
+    let inclusive: Vec<f64> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let prefix = format!("{}/", row.path);
+            let below = rows[i + 1..]
+                .iter()
+                .take_while(|r| r.path.starts_with(&prefix));
+            row.total + below.map(|r| r.total).sum::<f64>()
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| {
+        rows[b]
+            .total
+            .partial_cmp(&rows[a].total)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.path.cmp(&b.path))
+            .then_with(|| rows[a].path.cmp(&rows[b].path))
     });
-    let shown = rows.len().min(top.max(1));
-    let max_self = rows[0].self_cycles.max(1.0);
-    let width = rows[..shown].iter().map(|r| r.path.len()).max().unwrap();
+    let total_self: f64 = rows.iter().map(|r| r.total).sum();
+    let shown = &order[..rows.len().min(top.max(1))];
+    let max_self = rows[order[0]].total.max(1.0);
+    let width = shown.iter().map(|&i| rows[i].path.len()).max().unwrap();
+    let (name, short) = match unit {
+        Unit::Cycles => ("cycles", "cyc"),
+        Unit::Ns => ("ns", "ns"),
+    };
     let mut out = format!(
-        "top {shown} spans by self cycles (of {} total)\n",
+        "top {} spans by self {name} (of {} total)\n",
+        shown.len(),
         rows.len()
     );
     out.push_str(&format!(
         "  {:<width$} {:>12} {:>12} {:>7} {:>7}\n",
-        "span", "self cyc", "total cyc", "inv", "share"
+        "span",
+        format!("self {short}"),
+        format!("total {short}"),
+        "inv",
+        "share"
     ));
-    for r in &rows[..shown] {
-        let bar_len = ((r.self_cycles / max_self) * 20.0).round() as usize;
+    for &i in shown {
+        let r = &rows[i];
+        let bar_len = ((r.total / max_self) * 20.0).round() as usize;
         out.push_str(&format!(
             "  {:<width$} {:>12.0} {:>12.0} {:>7} {:>6.1}% {}\n",
             r.path,
-            r.self_cycles,
-            r.total_cycles,
+            r.total,
+            inclusive[i],
             r.invocations,
-            100.0 * r.self_cycles / total_self.max(1e-12),
+            100.0 * r.total / total_self.max(1e-12),
             "█".repeat(bar_len),
         ));
     }
@@ -774,23 +756,22 @@ fn render_metrics(trace: &Trace) -> String {
     out
 }
 
-/// Profile-event section: a one-line inventory pointing at `gala
-/// profile` (the join itself needs a second trace). Empty for pre-schema-4
-/// traces so older golden outputs stay valid.
-fn render_profiles(trace: &Trace) -> String {
-    if trace.profiles.is_empty() {
+/// Span-tree inventory by backend, pointing at `gala profile` for the
+/// sim↔native join. Empty when the trace's spans name no backend
+/// (schemas 2 to 5), so older golden outputs stay valid.
+fn render_backends(trace: &Trace) -> String {
+    let mut counts = std::collections::BTreeMap::<&str, usize>::new();
+    for backend in trace.span_checks.iter().filter_map(|s| s.backend) {
+        *counts.entry(backend.name()).or_default() += 1;
+    }
+    if counts.is_empty() {
         return String::new();
     }
-    let cycles = trace.profiles.iter().filter(|p| p.unit == "cycles").count();
-    let mut backends: Vec<&str> = trace.profiles.iter().map(|p| p.backend.as_str()).collect();
-    backends.sort_unstable();
-    backends.dedup();
+    let counts: Vec<String> = counts.iter().map(|(b, n)| format!("{b} {n}")).collect();
     format!(
-        "\nprofile events: {} ({cycles} cycle-charged, {} wall-ns; backends {}) — \
-         pair with the other backend's trace via `gala profile`\n",
-        trace.profiles.len(),
-        trace.profiles.len() - cycles,
-        backends.join(", "),
+        "\nspan trees by backend: {} — pair with the other backend's trace via \
+         `gala profile`\n",
+        counts.join(", ")
     )
 }
 
@@ -876,7 +857,7 @@ fn render_single(path: &str, trace: &Trace, top: usize) -> String {
     out.push('\n');
     out.push_str(&render_span_summary(trace, top));
     out.push_str(&render_metrics(trace));
-    out.push_str(&render_profiles(trace));
+    out.push_str(&render_backends(trace));
     out.push_str(&render_recorder_summary(trace));
     out
 }
@@ -1213,6 +1194,8 @@ pub fn run(args: &AnalyzeArgs) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gala_core::backend::BackendKind;
+    use gala_core::leiden::{leiden_observed, LeidenConfig};
     use gala_core::louvain::{Louvain, LouvainConfig};
     use gala_core::multi_gpu::{run_full_observed, ContractMode, MultiGpuConfig};
     use gala_core::observe::Observer;
@@ -1226,16 +1209,23 @@ mod tests {
             .into_owned()
     }
 
+    /// Writes the trace of the run `run` makes under an observer; returns
+    /// its path.
+    fn write_trace(name: &str, run: impl FnOnce(&mut Observer)) -> String {
+        let mut sink = JsonlSink::new(Vec::new());
+        run(&mut Observer::new(Some(&mut sink), Profiler::disabled()));
+        let path = format!("{}.jsonl", tmp(name));
+        std::fs::write(&path, sink.into_inner()).unwrap();
+        path
+    }
+
     /// Runs the instrumented Louvain driver on a fixture and writes a real
     /// trace file; returns its path.
     fn write_fixture_trace(name: &str) -> String {
         let g = fixtures::ring_of_cliques(6, 5);
-        let mut sink = JsonlSink::new(Vec::new());
-        let mut obs = Observer::new(Some(&mut sink), Profiler::disabled());
-        Louvain::new(LouvainConfig::default()).run_observed(&g, &mut obs);
-        let path = format!("{}.jsonl", tmp(name));
-        std::fs::write(&path, sink.into_inner()).unwrap();
-        path
+        write_trace(name, |obs| {
+            Louvain::new(LouvainConfig::default()).run_observed(&g, obs);
+        })
     }
 
     /// Runs the multi-device full hierarchy with the partitioned phase-2
@@ -1352,8 +1342,10 @@ mod tests {
             !trace.span_checks.is_empty(),
             "instrumented run must emit spans"
         );
+        let (unit, merged) = &trace.merged[0];
+        assert_eq!((*unit, trace.merged.len()), (Unit::Cycles, 1));
         assert!(
-            trace.merged_root.child("decide").is_some(),
+            merged.child("decide").is_some(),
             "merged profile must hold the decide subtree"
         );
         assert!(trace.run_end.is_some());
@@ -1518,52 +1510,85 @@ mod tests {
     }
 
     #[test]
-    fn profile_events_decode_check_and_render() {
-        let path = write_fixture_trace("profiles");
+    fn span_backends_decode_and_render() {
+        let path = write_fixture_trace("backends");
         let trace = load_trace(&path).unwrap();
-        assert!(
-            !trace.profiles.is_empty(),
-            "instrumented run must emit profile events"
-        );
-        for ev in &trace.profiles {
-            assert_eq!(ev.backend, "sim");
-            assert_eq!(ev.unit, "cycles");
-            assert!(ev.phase == "phase1" || ev.phase == "contract");
-            for span in &ev.spans {
-                assert_eq!(span.components.total(), span.total, "{}", span.path);
-            }
-        }
-        let summary = check(&path, &trace).unwrap();
-        assert!(summary.contains("profiles"), "{summary}");
+        assert!(trace
+            .span_checks
+            .iter()
+            .all(|s| s.backend == Some(SpanBackend::Sim)));
         let text = render_single(&path, &trace, 10);
-        assert!(text.contains("profile events:"), "{text}");
+        assert!(text.contains("span trees by backend: sim "), "{text}");
         assert!(text.contains("gala profile"), "{text}");
+        // A schema-6 span must name a known backend, and a `profile` event
+        // is no longer a schema-6 event.
+        let mut lines: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect();
+        let at = lines
+            .iter()
+            .position(|l| l.contains(r#""event":"span""#))
+            .unwrap();
+        let span = lines[at].clone();
+        for (bad, err) in [
+            (span.replace(r#""backend":"sim","#, ""), "missing `backend`"),
+            (
+                span.replace(r#""backend":"sim""#, r#""backend":"gpu""#),
+                "unknown span backend",
+            ),
+            (
+                format!(r#"{{"event":"profile","schema":{SCHEMA_VERSION},"spans":[]}}"#),
+                "unknown event `profile`",
+            ),
+        ] {
+            lines[at] = bad;
+            std::fs::write(&path, lines.join("\n")).unwrap();
+            let got = load_trace(&path).unwrap_err().to_string();
+            assert!(got.contains(err), "{got}");
+        }
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn check_rejects_bad_profile_events() {
-        let path = write_fixture_trace("badprofiles");
+    fn span_tables_rank_each_unit_in_its_own_unit() {
+        // A native trace is ranked by wall ns: the cost model's cycles for
+        // the native weight update rank nothing, measured decide time does.
+        let g = fixtures::ring_of_cliques(6, 5);
+        let path = write_trace("native", |obs| {
+            let config = LouvainConfig {
+                backend: BackendKind::Native,
+                ..LouvainConfig::default()
+            };
+            Louvain::new(config).run_observed(&g, obs);
+        });
         let trace = load_trace(&path).unwrap();
-        let mut bad_unit = trace.clone();
-        bad_unit.profiles[0].unit = "seconds".into();
-        let err = check(&path, &bad_unit).unwrap_err().to_string();
-        assert!(err.contains("unknown unit"), "{err}");
-        let mut bad_phase = trace.clone();
-        bad_phase.profiles[0].phase = "phase9".into();
-        let err = check(&path, &bad_phase).unwrap_err().to_string();
-        assert!(err.contains("unknown phase"), "{err}");
-        let mut bad_sum = trace;
-        let ev = bad_sum
-            .profiles
-            .iter_mut()
-            .find(|p| p.spans.iter().any(|s| s.total > 0.0))
-            .expect("a charged profile event");
-        let span = ev.spans.iter_mut().find(|s| s.total > 0.0).unwrap();
-        span.components.compute += 1.0;
-        let err = check(&path, &bad_sum).unwrap_err().to_string();
-        assert!(err.contains("components sum"), "{err}");
-        let _ = std::fs::remove_file(path);
+        let text = render_span_summary(&trace, 10);
+        assert!(text.starts_with("top "), "{text}");
+        assert!(text.contains("spans by self ns"), "{text}");
+        assert!(!text.contains("cycles"), "{text}");
+        let rank = |span: &str| {
+            let row = text.lines().position(|l| l.trim_start().starts_with(span));
+            row.unwrap_or_else(|| panic!("no {span} row in {text}"))
+        };
+        assert!(rank("decide ") < rank("weight_update "), "{text}");
+        let weight = text.lines().nth(rank("weight_update ")).unwrap();
+        assert!(weight.contains(" 0.0% "), "{text}");
+        // Leiden on the simulator charges local moving in host ns and the
+        // aggregation in simulated cycles: one table per unit.
+        let leiden = write_trace("leiden", |obs| {
+            leiden_observed(&g, LeidenConfig::default(), obs);
+        });
+        let trace = load_trace(&leiden).unwrap();
+        let units: Vec<Unit> = trace.merged.iter().map(|(u, _)| *u).collect();
+        assert_eq!(units, [Unit::Cycles, Unit::Ns]);
+        let text = render_span_summary(&trace, 10);
+        assert!(text.contains("spans by self cycles"), "{text}");
+        assert!(text.contains("spans by self ns"), "{text}");
+        for p in [path, leiden] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]
@@ -1604,6 +1629,25 @@ mod tests {
         let err = check(&path, &bad_audit).unwrap_err().to_string();
         assert!(err.contains("false negatives"), "{err}");
         let _ = std::fs::remove_file(path);
+    }
+
+    /// `tests/data/sbm120.schema5.{sim,native}.jsonl` were written by a
+    /// schema-5 build: backend-less `span` events, each followed by its
+    /// `profile` event.
+    #[test]
+    fn schema_5_traces_still_check() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data");
+        for backend in ["sim", "native"] {
+            let path = format!("{dir}/sbm120.schema5.{backend}.jsonl");
+            let trace = load_trace(&path).unwrap();
+            let summary = check(&path, &trace).unwrap();
+            assert!(summary.starts_with("ok:"), "{summary}");
+            assert!(trace.span_checks.iter().all(|s| s.backend.is_none()));
+            // Backend-less spans are charged in simulated cycles.
+            let units: Vec<Unit> = trace.merged.iter().map(|(u, _)| *u).collect();
+            assert_eq!(units, [Unit::Cycles]);
+            assert_eq!(render_backends(&trace), "");
+        }
     }
 
     #[test]

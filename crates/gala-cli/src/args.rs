@@ -376,9 +376,9 @@ pub struct AnalyzeArgs {
 /// The `profile` subcommand's options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileArgs {
-    /// Trace with simulated-cycle `profile` events (unit `cycles`).
+    /// Trace whose span trees are charged in simulated cycles.
     pub sim_trace: String,
-    /// Trace with wall-clock `profile` events (unit `ns`).
+    /// Trace whose span trees are charged in wall nanoseconds.
     pub native_trace: String,
     /// Kernel rows to print in the roofline table.
     pub top: usize,

@@ -1,17 +1,20 @@
 //! `gala profile`: sim↔native cost attribution from paired traces.
 //!
-//! Loads the schema-4 `profile` events of two trace files — one produced
-//! by the simulated backend (component cycle charges) and one by the
-//! native backend (wall nanoseconds) — joins them span-by-span through
-//! [`Attribution`], and renders a roofline-style table: per kernel, the
+//! Flattens the span trees of two trace files — one produced by the
+//! simulated backend (component cycle charges) and one by the native
+//! backend (wall nanoseconds) — into per-path rows, joins them
+//! span-by-span through [`Attribution`], and renders a roofline-style
+//! table: per kernel, the
 //! predicted-cycle component stack, arithmetic/memory intensity, and the
 //! calibration residual against the fitted clock. Kernels more than 2σ
 //! from the fleet mean are flagged.
 //!
-//! Events are dispatched by their `unit` field, not by which file they
-//! came from: a Leiden sim trace legitimately mixes host-`ns` phase-1
-//! events with sim-`cycles` contract events, and only the cycle-charged
-//! side feeds the sim accumulator. `--write-calibration` persists the fit
+//! Trees are dispatched by the unit their `backend` names, not by which
+//! file they came from: a Leiden sim trace legitimately mixes host-`ns`
+//! phase-1 trees with sim-`cycles` contract trees, and only the
+//! cycle-charged side feeds the sim accumulator. Traces of schemas 4 and
+//! 5 carry the rows ready-made in `profile` events, which are read
+//! instead. `--write-calibration` persists the fit
 //! as a [`Calibration`]; `--gate` compares a fresh profile against a
 //! stored one and exits non-zero on drift, closing the loop the ROADMAP's
 //! cost-model calibration item asks for.
@@ -23,30 +26,67 @@ use crate::args::ProfileArgs;
 use crate::commands::Error;
 use gala_gpu::memory::COMPONENT_NAMES;
 use gala_telemetry::{
-    json, profile_span_from_json, Attribution, AttributionReport, Calibration, MetricRow,
-    ProfileSpan, Report, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    json, profile_span_from_json, span_from_json, Attribution, AttributionReport, Calibration,
+    MetricRow, ProfileSpan, Report, SpanBackend, Unit, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 
-/// The `profile` events of one trace file, each reduced to the fields the
-/// attribution join needs.
+/// The span rows of one trace file, as the attribution join needs them.
 #[derive(Debug)]
-struct ProfileEvents {
+struct TraceRows {
     /// Total events in the file (all kinds).
     events: usize,
-    /// `(unit, spans)` per `profile` event, in file order.
-    profiles: Vec<(String, Vec<ProfileSpan>)>,
+    /// `(unit, rows)` per span tree, in file order.
+    trees: Vec<(Unit, Vec<ProfileSpan>)>,
 }
 
-/// Streams one trace file, keeping only its `profile` events. Schema
-/// violations report the offending event index and schema, like
-/// `gala analyze`.
-fn load_profiles(path: &str) -> Result<ProfileEvents, Error> {
+/// The per-path rows one trace event carries, with their unit: a schema-6
+/// `span` event's tree flattened in its backend's unit, or the stored rows
+/// of a schema-4/5 `profile` event. Older `span` events name no backend,
+/// so their rows come from their `profile` companion instead.
+fn event_rows(v: &json::Value, schema: u64) -> Result<Option<(Unit, Vec<ProfileSpan>)>, String> {
+    match v.get("event").and_then(json::Value::as_str) {
+        Some("span") if schema >= 6 => {
+            let backend = v
+                .get("backend")
+                .and_then(json::Value::as_str)
+                .and_then(SpanBackend::parse)
+                .ok_or("span event with a missing or unknown `backend`")?;
+            let root = v
+                .get("root")
+                .and_then(span_from_json)
+                .ok_or("bad span tree")?;
+            let unit = backend.unit();
+            Ok(Some((unit, unit.rows(&root))))
+        }
+        Some("profile") if schema < 6 => {
+            let unit = v
+                .get("unit")
+                .and_then(json::Value::as_str)
+                .and_then(Unit::parse)
+                .ok_or("profile event with a missing or unknown `unit`")?;
+            let rows = v
+                .get("spans")
+                .and_then(json::Value::as_array)
+                .ok_or("profile event missing `spans`")?
+                .iter()
+                .map(profile_span_from_json)
+                .collect::<Option<Vec<_>>>()
+                .ok_or("bad profile span")?;
+            Ok(Some((unit, rows)))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// Streams one trace file, keeping only its span rows. Schema violations
+/// report the offending event index and schema, like `gala analyze`.
+fn load_rows(path: &str) -> Result<TraceRows, Error> {
     use std::io::BufRead;
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let reader = std::io::BufReader::new(file);
-    let mut out = ProfileEvents {
+    let mut out = TraceRows {
         events: 0,
-        profiles: Vec::new(),
+        trees: Vec::new(),
     };
     for (idx, raw) in reader.lines().enumerate() {
         let line = idx + 1;
@@ -68,33 +108,18 @@ fn load_profiles(path: &str) -> Result<ProfileEvents, Error> {
             .into());
         }
         out.events += 1;
-        if v.get("event").and_then(json::Value::as_str) != Some("profile") {
-            continue;
+        if let Some(tree) =
+            event_rows(&v, schema).map_err(|e| format!("{path} line {line}: {e}"))?
+        {
+            out.trees.push(tree);
         }
-        let unit = v
-            .get("unit")
-            .and_then(json::Value::as_str)
-            .ok_or_else(|| format!("{path} line {line}: profile event missing `unit`"))?
-            .to_string();
-        if unit != "cycles" && unit != "ns" {
-            return Err(format!("{path} line {line}: unknown profile unit `{unit}`").into());
-        }
-        let spans = v
-            .get("spans")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| format!("{path} line {line}: profile event missing `spans`"))?
-            .iter()
-            .map(profile_span_from_json)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("{path} line {line}: bad profile span"))?;
-        out.profiles.push((unit, spans));
     }
     if out.events == 0 {
         return Err(format!("{path}: empty trace").into());
     }
-    if out.profiles.is_empty() {
+    if out.trees.is_empty() {
         return Err(format!(
-            "{path}: no profile events (trace written by a pre-schema-4 build? \
+            "{path}: no span rows (trace written by a pre-schema-4 build? \
              re-run `gala detect --trace` with this build)"
         )
         .into());
@@ -102,13 +127,12 @@ fn load_profiles(path: &str) -> Result<ProfileEvents, Error> {
     Ok(out)
 }
 
-/// Feeds one file's profile events into the join, dispatching on `unit`.
-fn feed(attr: &mut Attribution, events: &ProfileEvents) {
-    for (unit, spans) in &events.profiles {
-        if unit == "cycles" {
-            attr.add_sim(spans);
-        } else {
-            attr.add_native(spans);
+/// Feeds one file's span rows into the join, dispatching on their unit.
+fn feed(attr: &mut Attribution, rows: &TraceRows) {
+    for (unit, spans) in &rows.trees {
+        match unit {
+            Unit::Cycles => attr.add_sim(spans),
+            Unit::Ns => attr.add_native(spans),
         }
     }
 }
@@ -144,16 +168,16 @@ fn component_stack(row: &gala_telemetry::KernelResidual) -> String {
 fn render_report(
     sim_path: &str,
     native_path: &str,
-    sim: &ProfileEvents,
-    native: &ProfileEvents,
+    sim: &TraceRows,
+    native: &TraceRows,
     report: &AttributionReport,
     top: usize,
 ) -> String {
     let flagged = report.kernels.iter().filter(|k| k.flagged).count();
     let mut out = format!(
-        "profile: {sim_path} ({} profile events) vs {native_path} ({} profile events)\n",
-        sim.profiles.len(),
-        native.profiles.len()
+        "profile: {sim_path} ({} span trees) vs {native_path} ({} span trees)\n",
+        sim.trees.len(),
+        native.trees.len()
     );
     out.push_str(&format!(
         "fitted clock {:.4} cycles/ns | mean residual {:.4} | sigma {:.4} | \
@@ -300,8 +324,8 @@ fn chrome_trace(report: &AttributionReport) -> json::Value {
 /// Executes the `profile` subcommand. Gate failures surface as a
 /// non-zero exit through the caller.
 pub fn run(args: &ProfileArgs) -> Result<(), Error> {
-    let sim = load_profiles(&args.sim_trace)?;
-    let native = load_profiles(&args.native_trace)?;
+    let sim = load_rows(&args.sim_trace)?;
+    let native = load_rows(&args.native_trace)?;
     let mut attr = Attribution::new();
     feed(&mut attr, &sim);
     feed(&mut attr, &native);
@@ -364,12 +388,14 @@ pub fn run(args: &ProfileArgs) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Command;
+    use crate::commands::execute;
     use gala_core::backend::BackendKind;
     use gala_core::louvain::{Louvain, LouvainConfig};
     use gala_core::observe::Observer;
     use gala_gpu::profile::Profiler;
     use gala_graph::generators::fixtures;
-    use gala_telemetry::JsonlSink;
+    use gala_telemetry::{JsonlSink, TraceEvent, TraceSink};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
@@ -415,9 +441,9 @@ mod tests {
         }
     }
 
-    fn resolve(sim: &str, native: &str) -> (ProfileEvents, ProfileEvents, AttributionReport) {
-        let s = load_profiles(sim).unwrap();
-        let n = load_profiles(native).unwrap();
+    fn resolve(sim: &str, native: &str) -> (TraceRows, TraceRows, AttributionReport) {
+        let s = load_rows(sim).unwrap();
+        let n = load_rows(native).unwrap();
         let mut attr = Attribution::new();
         feed(&mut attr, &s);
         feed(&mut attr, &n);
@@ -429,8 +455,8 @@ mod tests {
     fn joins_real_backend_pair_and_renders() {
         let (sim, native) = paired("join");
         let (s, n, report) = resolve(&sim, &native);
-        assert!(s.profiles.iter().all(|(u, _)| u == "cycles"));
-        assert!(n.profiles.iter().all(|(u, _)| u == "ns"));
+        assert!(s.trees.iter().all(|(u, _)| *u == Unit::Cycles));
+        assert!(n.trees.iter().all(|(u, _)| *u == Unit::Ns));
         // The default workload-aware kernel anchors at the decide scope,
         // and phase 2 yields a contract row.
         assert!(
@@ -540,15 +566,15 @@ mod tests {
     }
 
     #[test]
-    fn rejects_traces_without_profile_events() {
+    fn rejects_traces_without_span_rows() {
         let path = format!("{}.jsonl", tmp("noprof"));
         std::fs::write(
             &path,
             format!("{{\"event\":\"run_end\",\"schema\":{SCHEMA_VERSION},\"modularity\":0.5,\"rounds\":1,\"total_cycles\":0}}\n"),
         )
         .unwrap();
-        let err = load_profiles(&path).unwrap_err().to_string();
-        assert!(err.contains("no profile events"), "{err}");
+        let err = load_rows(&path).unwrap_err().to_string();
+        assert!(err.contains("no span rows"), "{err}");
         // Schema violations name the offending event index and schema.
         std::fs::write(
             &path,
@@ -557,7 +583,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let err = load_profiles(&path).unwrap_err().to_string();
+        let err = load_rows(&path).unwrap_err().to_string();
         assert!(err.contains("event 1") && err.contains("schema 1"), "{err}");
         let _ = std::fs::remove_file(path);
     }
@@ -566,22 +592,62 @@ mod tests {
     fn disjoint_traces_are_an_error() {
         let sim = write_trace("disjoint_sim", BackendKind::Sim);
         // A native trace whose spans live under paths the sim never charges.
+        let mut tree = Profiler::new();
+        tree.scope("elsewhere", |p| p.count("elapsed_ns", 100));
+        let mut sink = JsonlSink::new(Vec::new());
+        sink.emit(TraceEvent::Span {
+            round: 0,
+            superstep: 0,
+            phase: "phase1".into(),
+            backend: SpanBackend::Native,
+            root: tree.finish(),
+        });
         let native = format!("{}.jsonl", tmp("disjoint_native"));
-        std::fs::write(
-            &native,
-            format!(
-                "{{\"event\":\"profile\",\"schema\":{SCHEMA_VERSION},\"round\":0,\
-                 \"superstep\":0,\"phase\":\"phase1\",\"backend\":\"native\",\"unit\":\"ns\",\
-                 \"spans\":[{{\"path\":\"elsewhere\",\"invocations\":1,\"total\":100.0,\
-                 \"components\":{{\"compute\":100.0,\"shared_mem\":0,\"global_coalesced\":0,\
-                 \"global_uncoalesced\":0,\"atomics\":0,\"scan_sort\":0,\"sync\":0}}}}]}}\n"
-            ),
-        )
-        .unwrap();
+        std::fs::write(&native, sink.into_inner()).unwrap();
         let args = base_args(&sim, &native);
         let err = run(&args).unwrap_err().to_string();
         assert!(err.contains("no joinable kernel"), "{err}");
         for p in [sim, native] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// `tests/data/sbm120.schema5.{sim,native}.jsonl` were written by a
+    /// schema-5 build (span trees plus their `profile` events) with `gala
+    /// detect tests/data/sbm120.txt --backend <b> --trace <file>`.
+    #[test]
+    fn schema_5_pair_yields_the_rows_of_a_fresh_pair() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data");
+        let old = ["sim", "native"].map(|b| format!("{dir}/sbm120.schema5.{b}.jsonl"));
+        let fresh = ["sim", "native"].map(|b| {
+            let trace = format!("{}.jsonl", tmp(&format!("fresh_{b}")));
+            let argv = [
+                "detect",
+                &format!("{dir}/sbm120.txt"),
+                "--backend",
+                b,
+                "--trace",
+                &trace,
+                "--quiet",
+            ];
+            execute(Command::parse(&argv.map(String::from)).unwrap()).unwrap();
+            trace
+        });
+        run(&base_args(&old[0], &old[1])).unwrap();
+        run(&base_args(&fresh[0], &fresh[1])).unwrap();
+        let [old_sim, old_native] = old.each_ref().map(|p| load_rows(p).unwrap());
+        let [new_sim, new_native] = fresh.each_ref().map(|p| load_rows(p).unwrap());
+        assert!(new_sim.trees.iter().all(|(u, _)| *u == Unit::Cycles));
+        // Simulated cycles are deterministic: every row matches bit for bit.
+        assert_eq!(old_sim.trees, new_sim.trees);
+        // Wall time is not; the native rows keep their shape.
+        let shape = |t: &TraceRows| -> Vec<(Unit, Vec<(String, u64)>)> {
+            let tree =
+                |r: &[ProfileSpan]| r.iter().map(|s| (s.path.clone(), s.invocations)).collect();
+            t.trees.iter().map(|(u, r)| (*u, tree(r))).collect()
+        };
+        assert_eq!(shape(&old_native), shape(&new_native));
+        for p in fresh {
             let _ = std::fs::remove_file(p);
         }
     }

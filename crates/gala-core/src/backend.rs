@@ -26,12 +26,12 @@
 use crate::kernels::hashtable::{HashConfig, TableStats};
 use crate::kernels::{self, DecideOutput, DecideScratch, KernelKind};
 use crate::state::BspState;
-use gala_gpu::memory::{CostModel, MemTally};
-use gala_gpu::profile::{Profiler, SpanRecord};
+use gala_gpu::memory::MemTally;
+use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{self, coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{profile_spans, profile_spans_wall, TraceEvent};
+use gala_telemetry::SpanBackend;
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -291,47 +291,12 @@ impl ExecutionBackend for NativeBackend {
     }
 }
 
-/// Builds the schema-4 `profile` companion of a `span` event: the tree's
-/// spans flattened to per-path component charges in the unit of `charge`.
-/// Sim trees charge simulated cycles from each span's `MemTally` through
-/// the default [`CostModel`] (summing exactly to `self_cycles`); native
-/// trees, and host-only drivers' trees (`charge` = `None`, attributed to
-/// the `"host"` backend), charge each span's measured `elapsed_ns` counter.
-pub(crate) fn profile_event(
-    charge: Option<BackendKind>,
-    round: u32,
-    superstep: u32,
-    phase: &str,
-    root: &SpanRecord,
-) -> TraceEvent {
-    let (backend, unit) = match charge {
-        Some(BackendKind::Sim) => ("sim", "cycles"),
-        Some(BackendKind::Native) => ("native", "ns"),
-        None => ("host", "ns"),
-    };
-    profile_event_from(root, backend, unit, round, superstep, phase)
-}
-
-fn profile_event_from(
-    root: &SpanRecord,
-    backend: &str,
-    unit: &str,
-    round: u32,
-    superstep: u32,
-    phase: &str,
-) -> TraceEvent {
-    let spans = if unit == "cycles" {
-        profile_spans(root, &CostModel::default())
-    } else {
-        profile_spans_wall(root)
-    };
-    TraceEvent::Profile {
-        round,
-        superstep,
-        phase: phase.to_string(),
-        backend: backend.to_string(),
-        unit: unit.to_string(),
-        spans,
+impl From<BackendKind> for SpanBackend {
+    fn from(kind: BackendKind) -> Self {
+        match kind {
+            BackendKind::Sim => SpanBackend::Sim,
+            BackendKind::Native => SpanBackend::Native,
+        }
     }
 }
 

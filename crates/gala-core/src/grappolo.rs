@@ -14,6 +14,7 @@ use crate::rounds::{self, Driver, Phase1, Phase1Tracker};
 use crate::state::{BspState, MoveSummary};
 use crate::weight::{self, WeightUpdateMode};
 use gala_graph::{Graph, Partition};
+use gala_telemetry::SpanBackend;
 use std::time::Instant;
 
 /// Result of a Grappolo baseline run.
@@ -79,7 +80,7 @@ fn phase1_observed(
             p.count("items", graph.num_vertices() as u64);
             state.modularity(graph)
         });
-        obs.superstep_tree(sub, None, round, iteration as u32);
+        obs.superstep_tree(sub, SpanBackend::Host, round, iteration as u32);
         // No pruning: every vertex is active in every superstep. Grappolo
         // traces no `superstep` events, only their span trees.
         let n = graph.num_vertices();
@@ -97,16 +98,15 @@ pub fn grappolo(graph: &Graph, theta: f64) -> GrappoloResult {
 }
 
 /// [`grappolo`] observed by `obs`: the same `run_start` / per-superstep
-/// `span` and `profile` / `round_end` / `run_end` event sequence as the
-/// BSP drivers, all spans charging host wall nanoseconds (`"host"`
-/// backend).
+/// `span` / `round_end` / `run_end` event sequence as the BSP drivers,
+/// all spans charging host wall nanoseconds (`"host"` backend).
 pub fn grappolo_observed(graph: &Graph, theta: f64, obs: &mut Observer) -> GrappoloResult {
     let spec = rounds::Spec {
         algorithm: "grappolo",
         devices: 1,
         max_rounds: LouvainConfig::default().max_rounds,
         theta,
-        charge: None,
+        backend: SpanBackend::Host,
     };
     let mut driver = GrappoloRounds {
         theta,
@@ -153,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_matches_plain_and_emits_profiles() {
+    fn instrumented_run_matches_plain_and_emits_host_span_trees() {
         use gala_gpu::profile::Profiler;
         use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
@@ -164,27 +164,26 @@ mod tests {
         let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
-        let mut phase1_profiles = 0;
+        let mut phase1_trees = 0;
         for event in &sink.events {
-            if let TraceEvent::Profile {
+            if let TraceEvent::Span {
                 backend,
-                unit,
                 phase,
-                spans,
+                root,
                 ..
             } = event
             {
-                assert_eq!(backend, "host");
-                assert_eq!(unit, "ns");
+                assert_eq!(backend.name(), "host");
                 if phase == "phase1" {
-                    phase1_profiles += 1;
+                    phase1_trees += 1;
+                    let spans = backend.unit().rows(root);
                     let decide = spans.iter().find(|s| s.path == "decide").unwrap();
                     assert!(decide.total > 0.0);
                     assert!(spans.iter().any(|s| s.path == "decide/cpu"));
                 }
             }
         }
-        assert!(phase1_profiles >= traced.first_round_iterations);
+        assert!(phase1_trees >= traced.first_round_iterations);
         let round = tree.child("round").expect("round span");
         assert!(round
             .child("superstep")

@@ -69,7 +69,7 @@ pub fn leiden(graph: &Graph, config: LeidenConfig) -> LeidenResult {
     leiden_observed(graph, config, &mut Observer::off())
 }
 
-/// [`leiden`] observed by `obs`: the same `run_start` / `span` / `profile` /
+/// [`leiden`] observed by `obs`: the same `run_start` / `span` /
 /// `round_end` / `run_end` event sequence as the BSP drivers. The
 /// sequential local-moving pass is one wall-clock-timed `superstep` tree
 /// per round (`"host"` backend, unit `"ns"`); the per-round `refine` +
@@ -122,7 +122,7 @@ pub fn leiden_observed(graph: &Graph, config: LeidenConfig, obs: &mut Observer) 
             let kernel = KernelKind::default();
             backend.contract(g, &refined, kernel, instrumented, p, &mut cscratch)
         });
-        obs.emit_tree(sub, Some(config.backend), round, 1, "contract");
+        obs.emit_tree(sub, config.backend.into(), round, 1, "contract");
         obs.exit();
         // The aggregated graph's vertices start in their step-1 community.
         let mut next_labels = vec![0 as CommunityId; coarse.num_communities];
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn instrumented_run_matches_plain_and_profiles_both_units() {
         use gala_gpu::profile::Profiler;
-        use gala_telemetry::{TraceEvent, VecSink};
+        use gala_telemetry::{TraceEvent, Unit, VecSink};
         let g = fixtures::ring_of_cliques(8, 5);
         let plain = leiden(&g, LeidenConfig::default());
         let mut sink = VecSink::default();
@@ -409,29 +409,30 @@ mod tests {
         let mut saw_host_phase1 = false;
         let mut saw_sim_contract = false;
         for event in &sink.events {
-            if let TraceEvent::Profile {
+            if let TraceEvent::Span {
                 backend,
-                unit,
                 phase,
-                spans,
+                root,
                 ..
             } = event
             {
+                let unit = backend.unit();
+                let spans = unit.rows(root);
                 match phase.as_str() {
                     "phase1" => {
-                        assert_eq!((backend.as_str(), unit.as_str()), ("host", "ns"));
+                        assert_eq!((backend.name(), unit), ("host", Unit::Ns));
                         let decide = spans.iter().find(|s| s.path == "superstep/decide").unwrap();
                         assert!(decide.total > 0.0);
                         saw_host_phase1 = true;
                     }
                     "contract" => {
-                        assert_eq!((backend.as_str(), unit.as_str()), ("sim", "cycles"));
+                        assert_eq!((backend.name(), unit), ("sim", Unit::Cycles));
                         let contract = spans.iter().find(|s| s.path == "contract").unwrap();
                         assert!(contract.total > 0.0, "device contract kernel cycles");
                         assert_eq!(contract.components.total(), contract.total);
                         saw_sim_contract = true;
                     }
-                    other => panic!("unexpected profile phase {other}"),
+                    other => panic!("unexpected span phase {other}"),
                 }
             }
         }

@@ -301,7 +301,7 @@ impl Louvain {
                 state.modularity(graph)
             });
             let t5 = Instant::now();
-            obs.superstep_tree(sub, Some(cfg.backend), round as u32, iteration as u32);
+            obs.superstep_tree(sub, cfg.backend.into(), round as u32, iteration as u32);
             let moved = summary.num_moved();
             iterations.push(IterationStats {
                 iteration,
@@ -390,7 +390,7 @@ impl Louvain {
             devices: 1,
             max_rounds: cfg.max_rounds,
             theta: cfg.theta,
-            charge: Some(cfg.backend),
+            backend: cfg.backend.into(),
         };
         // One phase-1 working set for the whole hierarchy: later (coarser)
         // rounds reuse the first round's allocations.

@@ -404,7 +404,7 @@ fn run_phase1_round(
             state.modularity(graph)
         });
         let s = iteration as u32;
-        obs.superstep_tree(sub, Some(cfg.backend), round, s);
+        obs.superstep_tree(sub, cfg.backend.into(), round, s);
         let tallies = StepTallies {
             decide: device_tallies.iter().copied().sum(),
             weight: weight_tally,
@@ -510,7 +510,7 @@ pub fn run_full_observed(
         devices: config.num_devices as u32,
         max_rounds: LouvainConfig::default().max_rounds,
         theta: config.theta,
-        charge: Some(config.backend),
+        backend: config.backend.into(),
     };
     let mut driver = FullRounds {
         config,

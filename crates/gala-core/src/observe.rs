@@ -7,8 +7,8 @@
 //! hook per level of the paper's engine and the hook fans out:
 //!
 //! * `run_start` / `run_end` bracket the run;
-//! * a span tree per superstep or phase, emitted as `span` + `profile`
-//!   events and folded into the run-level tree;
+//! * a span tree per superstep or phase, emitted as one `span` event that
+//!   names its backend, and folded into the run-level tree;
 //! * `superstep` reports one BSP superstep; `round_end` one hierarchy round;
 //! * `emit` carries driver-specific events (`sync`, `metrics`), gated with
 //!   the registries they summarise by `Observer::metrics`.
@@ -21,14 +21,13 @@
 //! per-round snapshots. Neither touches the simulated-memory tallies:
 //! simulated cycle totals are bit-for-bit identical whatever is observed.
 
-use crate::backend::{profile_event, BackendKind};
 use crate::kernels::hashtable::TableStats;
 use crate::rounds::host_decide;
 use gala_gpu::memory::MemTally;
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_graph::Graph;
 use gala_telemetry::recorder::{self, ProgressLimiter, ProgressSnapshot};
-use gala_telemetry::{TraceEvent, TraceSink};
+use gala_telemetry::{SpanBackend, TraceEvent, TraceSink};
 
 /// One run's observation channels. [`Observer::off`] observes nothing and
 /// costs a branch per hook; the recorder's live progress is armed by its
@@ -131,14 +130,13 @@ impl<'a> Observer<'a> {
         }
     }
 
-    /// Finishes `sub`, emits its tree as a `span` event with its `profile`
-    /// companion (charged to `charge`'s unit, or host wall time for
-    /// `None`), and folds the tree into the run-level tree at the current
-    /// span. A disabled `sub` does nothing.
+    /// Finishes `sub`, emits its tree as a `span` event charged to
+    /// `backend`, and folds the tree into the run-level tree at the
+    /// current span. A disabled `sub` does nothing.
     pub(crate) fn emit_tree(
         &mut self,
         sub: Profiler,
-        charge: Option<BackendKind>,
+        backend: SpanBackend,
         round: u32,
         superstep: u32,
         phase: &str,
@@ -152,9 +150,9 @@ impl<'a> Observer<'a> {
                 round,
                 superstep,
                 phase: phase.to_string(),
+                backend,
                 root: tree.clone(),
             });
-            sink.emit(profile_event(charge, round, superstep, phase, &tree));
         }
         self.prof.absorb(tree);
     }
@@ -164,12 +162,12 @@ impl<'a> Observer<'a> {
     pub(crate) fn superstep_tree(
         &mut self,
         sub: Profiler,
-        charge: Option<BackendKind>,
+        backend: SpanBackend,
         round: u32,
         superstep: u32,
     ) {
         self.prof.enter("superstep");
-        self.emit_tree(sub, charge, round, superstep, "phase1");
+        self.emit_tree(sub, backend, round, superstep, "phase1");
         self.prof.exit();
     }
 
@@ -179,7 +177,7 @@ impl<'a> Observer<'a> {
     pub(crate) fn host_pass<R>(&mut self, round: u32, items: usize, f: impl FnOnce() -> R) -> R {
         let mut sub = self.sub_profiler();
         let out = sub.scope("superstep", |p| host_decide(p, items, f));
-        self.emit_tree(sub, None, round, 0, "phase1");
+        self.emit_tree(sub, SpanBackend::Host, round, 0, "phase1");
         out
     }
 

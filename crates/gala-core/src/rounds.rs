@@ -10,13 +10,13 @@
 //! the stop rule, all observed through one [`Observer`]. The helpers below
 //! are the pieces the drivers' phase-1 loops share.
 
-use crate::backend::BackendKind;
 use crate::modularity::modularity;
 use crate::observe::{Counts, Observer, StepTallies, Superstep};
 use crate::state::BspState;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition};
+use gala_telemetry::SpanBackend;
 use std::time::Instant;
 
 /// The run-level facts the engine reports for a driver.
@@ -29,9 +29,8 @@ pub(crate) struct Spec {
     pub max_rounds: usize,
     /// Minimum phase-1 gain between rounds (drivers that supply a Q).
     pub theta: f64,
-    /// What the phase-2 `profile` events charge: a backend's unit, or host
-    /// wall time when `None`.
-    pub charge: Option<BackendKind>,
+    /// What the phase-2 span trees are charged to.
+    pub backend: SpanBackend,
 }
 
 /// What phase 1 hands the engine.
@@ -120,7 +119,7 @@ pub(crate) fn run(
             renumbered,
             num_communities,
         } = driver.phase2(g, communities, &mut sub, &mut scratch);
-        obs.emit_tree(sub, spec.charge, round, supersteps, "contract");
+        obs.emit_tree(sub, spec.backend, round, supersteps, "contract");
         driver.contracted(obs, supersteps);
         obs.exit();
         let composed = compose(flat.take(), renumbered, &mut scratch);

@@ -10,6 +10,7 @@ use crate::observe::Observer;
 use crate::rounds::{self, Driver, Phase1};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition};
+use gala_telemetry::SpanBackend;
 
 /// Configuration for the sequential baseline.
 #[derive(Clone, Copy, Debug)]
@@ -49,12 +50,11 @@ pub fn sequential_louvain(graph: &Graph, config: SequentialConfig) -> Sequential
 }
 
 /// [`sequential_louvain`] observed by `obs`: emits the same `run_start` /
-/// `span` / `profile` / `round_end` / `run_end` event sequence as the BSP
-/// drivers, with one wall-clock-timed `superstep` span tree per round
-/// (sequential phase 1 is one indivisible host pass) plus the usual
-/// `contract` tree. All spans charge host nanoseconds — this baseline has
-/// no simulated device, so its `profile` events carry the `"host"`
-/// backend and unit `"ns"`.
+/// `span` / `round_end` / `run_end` event sequence as the BSP drivers,
+/// with one wall-clock-timed `superstep` span tree per round (sequential
+/// phase 1 is one indivisible host pass) plus the usual `contract` tree.
+/// All spans charge host nanoseconds — this baseline has no simulated
+/// device, so its `span` events name the `"host"` backend (unit `"ns"`).
 pub fn sequential_louvain_observed(
     graph: &Graph,
     config: SequentialConfig,
@@ -65,7 +65,7 @@ pub fn sequential_louvain_observed(
         devices: 1,
         max_rounds: config.max_rounds,
         theta: config.theta,
-        charge: None,
+        backend: SpanBackend::Host,
     };
     // Phase 1 is Leiden's local moving from singletons at resolution 1.
     let mut driver = SequentialRounds {
@@ -151,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_emits_host_profile_events() {
+    fn instrumented_run_emits_host_span_trees() {
         use gala_gpu::profile::Profiler;
         use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
@@ -162,24 +162,23 @@ mod tests {
         let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
-        let profiles: Vec<_> = sink
+        let trees: Vec<_> = sink
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Profile {
+                TraceEvent::Span {
                     backend,
-                    unit,
                     phase,
-                    spans,
+                    root,
                     ..
-                } => Some((backend.as_str(), unit.as_str(), phase.as_str(), spans)),
+                } => Some((backend.name(), phase.as_str(), backend.unit().rows(root))),
                 _ => None,
             })
             .collect();
-        assert!(profiles.iter().any(|(.., p, _)| *p == "phase1"));
-        assert!(profiles.iter().any(|(.., p, _)| *p == "contract"));
-        assert!(profiles.iter().all(|(b, u, ..)| *b == "host" && *u == "ns"));
-        let (.., spans) = profiles.iter().find(|(.., p, _)| *p == "phase1").unwrap();
+        assert!(trees.iter().any(|(_, p, _)| *p == "phase1"));
+        assert!(trees.iter().any(|(_, p, _)| *p == "contract"));
+        assert!(trees.iter().all(|(b, ..)| *b == "host"));
+        let (.., spans) = trees.iter().find(|(_, p, _)| *p == "phase1").unwrap();
         let decide = spans.iter().find(|s| s.path == "superstep/decide").unwrap();
         assert!(decide.total > 0.0, "decide must carry wall time");
         assert_eq!(decide.components.compute, decide.total);

@@ -4,10 +4,9 @@
 //! `tests/data/driver_traces_phase1.golden`.
 //!
 //! Each event becomes one line: its JSON form with wall-clock fields
-//! removed (`elapsed_ns` span counters, `rss_bytes`, and the totals of
-//! `"ns"`-unit profile rows) and its bulky members (span trees, profile
-//! rows, metric registries, tallies) replaced by an FNV-1a digest of
-//! their scrubbed rendering. Floats render round-trip exact, so a line
+//! removed (`elapsed_ns` span counters and `rss_bytes`) and its bulky
+//! members (span trees, metric registries, tallies) replaced by an FNV-1a
+//! digest of their scrubbed rendering. Floats render round-trip exact, so a line
 //! matches only when kind, round, superstep, phase and every
 //! deterministic payload are bit-identical. Each driver block ends with
 //! digests of the result partition, its modularity bits and the run-level
@@ -38,7 +37,7 @@ const GOLDEN: &str = include_str!("data/driver_traces.golden");
 const GOLDEN_PHASE1: &str = include_str!("data/driver_traces_phase1.golden");
 
 /// Members whose content is summarised by a digest instead of inlined.
-const DIGESTED: [&str; 5] = ["root", "spans", "registry", "decide_tally", "weight_tally"];
+const DIGESTED: [&str; 4] = ["root", "registry", "decide_tally", "weight_tally"];
 
 fn fixture_graph() -> Graph {
     PlantedPartition {
@@ -73,21 +72,10 @@ fn scrub(v: &mut Value) {
 fn event_line(event: &TraceEvent) -> String {
     let mut v = event.to_json();
     scrub(&mut v);
-    let wall_unit = v.get("unit").and_then(Value::as_str) == Some("ns");
     let Value::Object(pairs) = &mut v else {
         unreachable!("events serialise to objects")
     };
     for (key, member) in pairs.iter_mut() {
-        if key == "spans" && wall_unit {
-            // Wall-clock rows keep their shape, not their measured charges.
-            if let Value::Array(rows) = member {
-                for row in rows {
-                    if let Value::Object(fields) = row {
-                        fields.retain(|(k, _)| k != "total" && k != "components");
-                    }
-                }
-            }
-        }
         if DIGESTED.contains(&key.as_str()) {
             *member = Value::String(fnv(member.to_string().into_bytes()));
         }

@@ -1,7 +1,8 @@
-//! Component-breakdown determinism: the schema-4 `profile` events of a
-//! sim run are a pure function of the graph and config — two runs at any
-//! pool width (1, 2, 8) must produce bit-identical component charges,
-//! and every sim row's components must sum exactly to its span's cycles.
+//! Component-breakdown determinism: the span trees of a sim run, flattened
+//! to per-path rows, are a pure function of the graph and config — two
+//! runs at any pool width (1, 2, 8) must produce bit-identical component
+//! charges, and every sim row's components must sum exactly to its span's
+//! cycles.
 //!
 //! This is the profile-layer twin of the launch-equivalence proptests:
 //! the work-stealing pool may interleave chunks differently, but tallies
@@ -15,7 +16,7 @@ use gala_core::observe::Observer;
 use gala_gpu::profile::Profiler;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
-use gala_telemetry::{ProfileSpan, TraceEvent, VecSink};
+use gala_telemetry::{ProfileSpan, SpanBackend, TraceEvent, VecSink};
 use rayon::with_parallelism;
 
 const WIDTHS: [usize; 3] = [1, 2, 8];
@@ -31,8 +32,8 @@ fn sbm_graph(seed: u64) -> Graph {
     .graph
 }
 
-/// All profile events of one traced sim run, flattened to
-/// (round, superstep, phase, spans) rows.
+/// All span trees of one traced sim run, flattened to
+/// (round, superstep, phase, rows).
 fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec<ProfileSpan>)> {
     let mut sink = VecSink::default();
     Louvain::new(LouvainConfig {
@@ -46,17 +47,15 @@ fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec
     sink.events
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Profile {
+            TraceEvent::Span {
                 round,
                 superstep,
                 phase,
                 backend,
-                unit,
-                spans,
+                root,
             } => {
-                assert_eq!(backend, "sim");
-                assert_eq!(unit, "cycles");
-                Some((round, superstep, phase, spans))
+                assert_eq!(backend, SpanBackend::Sim);
+                Some((round, superstep, phase, backend.unit().rows(&root)))
             }
             _ => None,
         })
@@ -73,10 +72,7 @@ fn sim_component_breakdowns_are_bit_identical_across_runs_and_widths() {
         KernelKind::WorkloadAware(HashConfig::default()),
     ] {
         let reference = with_parallelism(1, || profile_rows(&graph, kernel));
-        assert!(
-            !reference.is_empty(),
-            "{kernel:?} emitted no profile events"
-        );
+        assert!(!reference.is_empty(), "{kernel:?} emitted no span trees");
         for width in WIDTHS {
             for run in 0..2 {
                 let got = with_parallelism(width, || profile_rows(&graph, kernel));

@@ -119,12 +119,21 @@ fn parse_weight(tok: &[u8], lineno: usize) -> io::Result<f64> {
         })
 }
 
+/// The most vertices an edge list of `bytes` bytes may imply, through its
+/// largest id or its `#vertices` directive: the builders allocate per
+/// vertex, so a one-line file naming id 4294967295 would otherwise ask for
+/// tens of gigabytes.
+fn max_vertices(bytes: u64) -> u64 {
+    (1u64 << 24).max(bytes.saturating_mul(8))
+}
+
 /// Parses an edge-list from a reader into any [`EdgeSink`]. Lines starting
 /// with `#` or `%` are comments; each data line is `u v` or `u v w`
 /// (weight defaults to 1; extra trailing tokens are ignored). The
 /// `#vertices N` directive written by [`write_edge_list`] reserves
 /// isolated trailing vertices. Malformed lines are reported with their
-/// 1-based line number.
+/// 1-based line number, and so is the line whose id or directive implies
+/// more vertices than [`max_vertices`] allows for the input's size.
 ///
 /// One line buffer is reused for the whole stream: parsing allocates
 /// nothing per edge.
@@ -134,11 +143,30 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
 ) -> io::Result<()> {
     let mut line: Vec<u8> = Vec::with_capacity(256);
     let mut lineno = 0usize;
+    let mut bytes = 0u64;
+    // The largest vertex count a line implies, the first such line, and
+    // whether a `#vertices` directive (rather than an id) implied it.
+    let mut widest = (0u64, 0usize, false);
     loop {
         line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let read = reader.read_until(b'\n', &mut line)?;
+        if read == 0 {
+            let (n, at, directive) = widest;
+            if n > max_vertices(bytes) {
+                let what = if directive {
+                    format!("#vertices {n}")
+                } else {
+                    format!("vertex id {}", n - 1)
+                };
+                return Err(bad_data(format!(
+                    "line {at}: {what} needs {n} vertices, more than the {} a \
+                     {bytes}-byte edge list may have; renumber the ids compactly from 0",
+                    max_vertices(bytes)
+                )));
+            }
             return Ok(());
         }
+        bytes += read as u64;
         lineno += 1;
         let mut pos = 0usize;
         let Some(first) = next_token(&line, &mut pos) else {
@@ -150,6 +178,9 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
             if first == b"#vertices" {
                 if let Some(tok) = next_token(&line, &mut pos) {
                     if let Ok(n) = std::str::from_utf8(tok).unwrap_or("").parse::<usize>() {
+                        if n as u64 > widest.0 {
+                            widest = (n as u64, lineno, true);
+                        }
                         sink.reserve_vertices(n);
                     }
                 }
@@ -165,6 +196,10 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
             Some(tok) => parse_weight(tok, lineno)?,
             None => 1.0,
         };
+        let n = u64::from(u.max(v)) + 1;
+        if n > widest.0 {
+            widest = (n, lineno, false);
+        }
         sink.add_edge(u, v, w);
     }
 }
@@ -578,6 +613,25 @@ mod tests {
     fn text_rejects_out_of_range_vertex() {
         let err = read_edge_list(Cursor::new("0 4294967296\n")).unwrap_err();
         assert!(err.to_string().contains("u32"), "{err}");
+    }
+
+    #[test]
+    fn text_rejects_vertex_counts_the_input_cannot_back() {
+        for (text, line, what) in [
+            ("0 4294967295\n", 1, "vertex id 4294967295"),
+            ("0 1\n2 300000000 1.5\n0 2\n", 2, "vertex id 300000000"),
+            ("#vertices 300000000\n0 1\n", 1, "#vertices 300000000"),
+        ] {
+            let err = read_edge_list(Cursor::new(text)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.starts_with(&format!("line {line}: {what} ")), "{msg}");
+            assert!(msg.contains("renumber"), "{msg}");
+        }
+        // Up to 2^24 vertices any input may name; beyond, 8 per byte read.
+        assert_eq!(max_vertices(11), 1 << 24);
+        assert_eq!(max_vertices(1 << 30), 1 << 33);
+        assert!(read_edge_list(Cursor::new("0 16777216\n")).is_err());
     }
 
     #[test]

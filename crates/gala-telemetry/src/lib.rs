@@ -21,8 +21,8 @@
 //!   binaries and the CLI (`--report`), plus [`Report::compare`] for the
 //!   CI baseline gate (±10% simulated-cycle tolerance).
 //! * [`attribution`] — the sim↔native calibration model behind
-//!   `gala profile`: joins the `profile` events of a simulated and a
-//!   native trace span-by-span, fits a clock, and computes per-kernel
+//!   `gala profile`: joins the flattened span rows of a simulated and a
+//!   native trace path-by-path, fits a clock, and computes per-kernel
 //!   residuals plus per-component calibration factors.
 //! * [`recorder`] — the in-process flight recorder: a fixed-capacity
 //!   drop-oldest ring of leveled log events behind a `GALA_LOG`-style
@@ -53,9 +53,8 @@ pub use recorder::{
 };
 pub use report::{MetricRow, Regression, Report, ReportError};
 pub use trace::{
-    components_from_json, components_to_json, profile_span_from_json, profile_span_to_json,
-    profile_spans, profile_spans_wall, span_from_json, span_to_json, tally_from_json,
-    tally_to_json, JsonlSink, NullSink, ProfileSpan, TraceEvent, TraceSink, VecSink,
+    profile_span_from_json, span_from_json, span_to_json, tally_from_json, tally_to_json,
+    JsonlSink, NullSink, ProfileSpan, SpanBackend, TraceEvent, TraceSink, Unit, VecSink,
 };
 
 /// Version of the trace-event and report JSON schemas. Bump on any
@@ -67,10 +66,15 @@ pub use trace::{
 /// `profile` events decomposing every span's cycles (sim) or wall
 /// nanoseconds (native) into component charges for `gala profile`; 5 —
 /// `log` / `progress` events from the flight [`recorder`] (leveled ring
-/// lines and bounded-frequency driver snapshots).
-pub const SCHEMA_VERSION: u64 = 5;
+/// lines and bounded-frequency driver snapshots); 6 — `span` events name
+/// their [`SpanBackend`], which fixes the tree's [`Unit`], and the
+/// `profile` event is gone: it repeated each span tree as flattened rows,
+/// which readers now derive from the tree itself ([`Unit::rows`]).
+pub const SCHEMA_VERSION: u64 = 6;
 
-/// Oldest schema this build still reads. Additions since
-/// [`MIN_SCHEMA_VERSION`] are purely additive (new event kinds), so traces
-/// and reports in `MIN_SCHEMA_VERSION..=SCHEMA_VERSION` all parse.
+/// Oldest schema this build still reads. Schemas 3 to 5 only added event
+/// kinds; schema 6 removed the `profile` event and added the `span`
+/// event's `backend`. Readers therefore charge a `span` without a backend
+/// (schemas 2 to 5) in simulated cycles, and `gala profile` still takes
+/// its rows from a schema-4/5 trace's `profile` events.
 pub const MIN_SCHEMA_VERSION: u64 = 2;

@@ -79,7 +79,9 @@ pub enum TraceEvent {
     /// A profiling span tree for one superstep or phase-2 pass: nested
     /// per-kernel spans (shuffle vs. hash, delta-update, contraction, sync)
     /// with memory tallies — including branch-divergence and
-    /// memory-coalescing counters — and free-form named counters.
+    /// memory-coalescing counters — and free-form named counters. Readers
+    /// flatten it to per-path rows in its backend's unit
+    /// ([`SpanBackend::unit`], [`Unit::rows`]).
     Span {
         /// Coarsening round the spans belong to.
         round: u32,
@@ -88,30 +90,13 @@ pub enum TraceEvent {
         superstep: u32,
         /// Which driver phase produced the tree (`"phase1"`, `"contract"`).
         phase: String,
+        /// What executed the phase, and so what the tree is charged in.
+        /// Schema 6+: readers charge the `span` events of schemas 2 to 5,
+        /// which carry none, as [`SpanBackend::Sim`].
+        backend: SpanBackend,
         /// Root of the span tree; its children are the phase's top-level
         /// spans (`classify`, `decide`, `apply`, …).
         root: SpanRecord,
-    },
-    /// Per-span cost attribution for one phase: every span of the phase's
-    /// tree flattened to a slash-joined path with its *self* charge
-    /// decomposed into [`ComponentCharges`]. Sim backends charge components
-    /// from the span's [`MemTally`] (unit `"cycles"`, summing exactly to
-    /// the span's `self_cycles`); native backends charge wall time (unit
-    /// `"ns"`, one bucket per span). Schema 4+.
-    Profile {
-        /// Coarsening round the spans belong to.
-        round: u32,
-        /// Superstep index within the round (for `"contract"` trees, one
-        /// past the round's last superstep).
-        superstep: u32,
-        /// Which driver phase produced the tree (`"phase1"`, `"contract"`).
-        phase: String,
-        /// Backend that executed the phase (`"sim"`, `"native"`, `"host"`).
-        backend: String,
-        /// Unit of `total` and every component: `"cycles"` or `"ns"`.
-        unit: String,
-        /// Flattened span rows, pre-order.
-        spans: Vec<ProfileSpan>,
     },
     /// An algorithm-level metrics snapshot: a [`MetricsRegistry`] of
     /// counters, gauges and log2 histograms covering quantities the span
@@ -187,9 +172,9 @@ pub enum TraceEvent {
     },
 }
 
-/// One span's row inside a [`TraceEvent::Profile`]: its position in the
-/// tree as a slash-joined path plus its *self* charge (children excluded)
-/// decomposed into components.
+/// One span's row of a flattened span tree ([`Unit::rows`]): its position
+/// in the tree as a slash-joined path plus its *self* charge (children
+/// excluded) decomposed into components.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileSpan {
     /// Slash-joined span names from the tree root down (the unnamed root
@@ -197,72 +182,114 @@ pub struct ProfileSpan {
     pub path: String,
     /// Times the span was entered.
     pub invocations: u64,
-    /// The span's self charge in the event's `unit`; always equals
+    /// The span's self charge in the tree's [`Unit`]; always equals
     /// `components.total()`.
     pub total: f64,
     /// Component decomposition of `total`.
     pub components: ComponentCharges,
 }
 
-/// Flattens a sim span tree into [`ProfileSpan`] rows, charging each
-/// span's own [`MemTally`] through `cost`. With the default integer-weight
-/// [`CostModel`] every row's `total` equals the span's `self_cycles()`
-/// bit-for-bit.
-pub fn profile_spans(root: &SpanRecord, cost: &CostModel) -> Vec<ProfileSpan> {
-    let mut out = Vec::new();
-    for child in &root.children {
-        collect_profile(child, "", &mut out, &|span| span.components(cost));
-    }
-    out
+/// What executed a span tree: the simulated device, the native backend,
+/// or a host-only driver (sequential Louvain, Grappolo, Leiden's local
+/// moving). It decides the tree's [`Unit`], and so how readers flatten it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanBackend {
+    /// The simulated GPU: spans carry [`MemTally`] traffic.
+    Sim,
+    /// The native backend: spans carry measured `elapsed_ns` counters.
+    Native,
+    /// A host-only driver: spans carry measured `elapsed_ns` counters.
+    Host,
 }
 
-/// Flattens a native span tree into [`ProfileSpan`] rows, charging each
-/// span's `elapsed_ns` counter as wall time (`sync` spans charge the sync
-/// component, everything else compute).
-pub fn profile_spans_wall(root: &SpanRecord) -> Vec<ProfileSpan> {
-    let mut out = Vec::new();
-    for child in &root.children {
-        collect_profile(child, "", &mut out, &|span| span.components_wall());
+impl SpanBackend {
+    /// The `backend` field's value: `"sim"`, `"native"` or `"host"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SpanBackend::Sim => "sim",
+            SpanBackend::Native => "native",
+            SpanBackend::Host => "host",
+        }
     }
-    out
-}
 
-fn collect_profile(
-    span: &SpanRecord,
-    prefix: &str,
-    out: &mut Vec<ProfileSpan>,
-    charge: &dyn Fn(&SpanRecord) -> ComponentCharges,
-) {
-    let path = if prefix.is_empty() {
-        span.name.clone()
-    } else {
-        format!("{prefix}/{}", span.name)
-    };
-    let components = charge(span);
-    out.push(ProfileSpan {
-        path: path.clone(),
-        invocations: span.invocations,
-        total: components.total(),
-        components,
-    });
-    for child in &span.children {
-        collect_profile(child, &path, out, charge);
+    /// Parses a `backend` field written by [`Self::name`].
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "sim" => Some(SpanBackend::Sim),
+            "native" => Some(SpanBackend::Native),
+            "host" => Some(SpanBackend::Host),
+            _ => None,
+        }
+    }
+
+    /// The unit the backend's trees are charged in: simulated cycles on
+    /// the simulator, measured wall nanoseconds everywhere else.
+    pub fn unit(self) -> Unit {
+        match self {
+            SpanBackend::Sim => Unit::Cycles,
+            SpanBackend::Native | SpanBackend::Host => Unit::Ns,
+        }
     }
 }
 
-/// Serialises [`ComponentCharges`] as a flat JSON object, one key per
-/// component in [`COMPONENT_NAMES`] order.
-pub fn components_to_json(c: &ComponentCharges) -> Value {
-    COMPONENT_NAMES
-        .into_iter()
-        .fold(Value::object(), |v, name| {
-            v.set(name, c.get(name).unwrap_or(0.0))
-        })
+/// The unit a flattened span tree's rows are charged in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// Simulated cycles under the default [`CostModel`].
+    Cycles,
+    /// Measured wall nanoseconds.
+    Ns,
 }
 
-/// Parses [`ComponentCharges`] back from the object [`components_to_json`]
-/// writes. Returns `None` when any component is missing or non-numeric.
-pub fn components_from_json(v: &Value) -> Option<ComponentCharges> {
+impl Unit {
+    /// Parses a unit name, `"cycles"` or `"ns"`.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "cycles" => Some(Unit::Cycles),
+            "ns" => Some(Unit::Ns),
+            _ => None,
+        }
+    }
+
+    /// Flattens a span tree into [`ProfileSpan`] rows in pre-order, the
+    /// unnamed root omitted. In cycles each span's own [`MemTally`] is
+    /// charged through the default integer-weight [`CostModel`], so every
+    /// row's `total` equals the span's `self_cycles()` bit-for-bit. In ns
+    /// each span's `elapsed_ns` counter is charged as wall time (`sync`
+    /// spans to the sync component, everything else to compute).
+    pub fn rows(self, root: &SpanRecord) -> Vec<ProfileSpan> {
+        let mut out = Vec::new();
+        for child in &root.children {
+            self.collect(child, "", &mut out);
+        }
+        out
+    }
+
+    fn collect(self, span: &SpanRecord, prefix: &str, out: &mut Vec<ProfileSpan>) {
+        let path = if prefix.is_empty() {
+            span.name.clone()
+        } else {
+            format!("{prefix}/{}", span.name)
+        };
+        let components = match self {
+            Unit::Cycles => span.components(&CostModel::default()),
+            Unit::Ns => span.components_wall(),
+        };
+        out.push(ProfileSpan {
+            path: path.clone(),
+            invocations: span.invocations,
+            total: components.total(),
+            components,
+        });
+        for child in &span.children {
+            self.collect(child, &path, out);
+        }
+    }
+}
+
+/// Parses [`ComponentCharges`] from a flat JSON object with one key per
+/// component. Returns `None` when any component is missing or non-numeric.
+fn components_from_json(v: &Value) -> Option<ComponentCharges> {
     let mut c = ComponentCharges::default();
     for name in COMPONENT_NAMES {
         c.set(name, v.get(name)?.as_f64()?);
@@ -270,17 +297,9 @@ pub fn components_from_json(v: &Value) -> Option<ComponentCharges> {
     Some(c)
 }
 
-/// Serialises one [`ProfileSpan`] row.
-pub fn profile_span_to_json(span: &ProfileSpan) -> Value {
-    Value::object()
-        .set("path", span.path.as_str())
-        .set("invocations", span.invocations)
-        .set("total", span.total)
-        .set("components", components_to_json(&span.components))
-}
-
-/// Parses a [`ProfileSpan`] back from the object [`profile_span_to_json`]
-/// writes. Returns `None` on any structural mismatch.
+/// Parses one row of a schema-4/5 `profile` event, the per-path rows
+/// older builds wrote next to each `span` event. Returns `None` on any
+/// structural mismatch.
 pub fn profile_span_from_json(v: &Value) -> Option<ProfileSpan> {
     Some(ProfileSpan {
         path: v.get("path")?.as_str()?.to_string(),
@@ -380,7 +399,6 @@ impl TraceEvent {
             TraceEvent::Superstep { .. } => "superstep",
             TraceEvent::Sync { .. } => "sync",
             TraceEvent::Span { .. } => "span",
-            TraceEvent::Profile { .. } => "profile",
             TraceEvent::Metrics { .. } => "metrics",
             TraceEvent::RoundEnd { .. } => "round_end",
             TraceEvent::RunEnd { .. } => "run_end",
@@ -449,29 +467,14 @@ impl TraceEvent {
                 round,
                 superstep,
                 phase,
+                backend,
                 root,
             } => base
                 .set("round", *round)
                 .set("superstep", *superstep)
                 .set("phase", phase.as_str())
+                .set("backend", backend.name())
                 .set("root", span_to_json(root)),
-            TraceEvent::Profile {
-                round,
-                superstep,
-                phase,
-                backend,
-                unit,
-                spans,
-            } => base
-                .set("round", *round)
-                .set("superstep", *superstep)
-                .set("phase", phase.as_str())
-                .set("backend", backend.as_str())
-                .set("unit", unit.as_str())
-                .set(
-                    "spans",
-                    Value::Array(spans.iter().map(profile_span_to_json).collect()),
-                ),
             TraceEvent::Metrics {
                 round,
                 scope,
@@ -707,6 +710,7 @@ mod tests {
             round: 1,
             superstep: 7,
             phase: "phase1".into(),
+            backend: SpanBackend::Native,
             root: p.finish(),
         };
         let mut sink = JsonlSink::new(Vec::new());
@@ -717,6 +721,7 @@ mod tests {
         assert_eq!(v.get("round").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("superstep").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("phase").unwrap().as_str(), Some("phase1"));
+        assert_eq!(v.get("backend").unwrap().as_str(), Some("native"));
         let root = span_from_json(v.get("root").unwrap()).unwrap();
         let TraceEvent::Span { root: original, .. } = event else {
             unreachable!()
@@ -850,7 +855,7 @@ mod tests {
     fn profile_rows_flatten_paths_and_sum_to_self_cycles() {
         let tree = sample_tree();
         let cost = CostModel::default();
-        let rows = profile_spans(&tree, &cost);
+        let rows = Unit::Cycles.rows(&tree);
         let paths: Vec<&str> = rows.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(
             paths,
@@ -874,7 +879,7 @@ mod tests {
 
     #[test]
     fn wall_profile_rows_charge_single_buckets() {
-        let rows = profile_spans_wall(&sample_tree());
+        let rows = Unit::Ns.rows(&sample_tree());
         let sync = rows.iter().find(|r| r.path == "superstep/sync").unwrap();
         assert_eq!(sync.components.sync, 450.0);
         assert_eq!(sync.components.compute, 0.0);
@@ -884,52 +889,30 @@ mod tests {
     }
 
     #[test]
-    fn profile_event_round_trips_through_jsonl() {
-        let event = TraceEvent::Profile {
-            round: 2,
-            superstep: 5,
-            phase: "phase1".into(),
-            backend: "sim".into(),
-            unit: "cycles".into(),
-            spans: profile_spans(&sample_tree(), &CostModel::default()),
-        };
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(event.clone());
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let v = parse(text.trim()).unwrap();
-        assert_eq!(v.get("event").unwrap().as_str(), Some("profile"));
-        assert_eq!(
-            v.get("schema").unwrap().as_u64(),
-            Some(SCHEMA_VERSION),
-            "profile events are schema 4+"
-        );
-        assert_eq!(v.get("backend").unwrap().as_str(), Some("sim"));
-        assert_eq!(v.get("unit").unwrap().as_str(), Some("cycles"));
-        let spans: Vec<ProfileSpan> = v
-            .get("spans")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| profile_span_from_json(s).unwrap())
-            .collect();
-        let TraceEvent::Profile {
-            spans: original, ..
-        } = event
-        else {
-            unreachable!()
-        };
-        assert_eq!(spans, original);
+    fn backends_name_their_unit() {
+        for (backend, unit, unit_name) in [
+            (SpanBackend::Sim, Unit::Cycles, "cycles"),
+            (SpanBackend::Native, Unit::Ns, "ns"),
+            (SpanBackend::Host, Unit::Ns, "ns"),
+        ] {
+            assert_eq!(SpanBackend::parse(backend.name()), Some(backend));
+            assert_eq!(backend.unit(), unit);
+            assert_eq!(Unit::parse(unit_name), Some(unit));
+        }
+        assert_eq!(SpanBackend::parse("gpu"), None);
+        assert_eq!(Unit::parse("seconds"), None);
     }
 
     #[test]
     fn profile_span_from_json_rejects_missing_components() {
-        let mut row = profile_span_to_json(&ProfileSpan {
-            path: "decide".into(),
-            invocations: 1,
-            total: 0.0,
-            components: ComponentCharges::default(),
-        });
+        let components = COMPONENT_NAMES
+            .into_iter()
+            .fold(Value::object(), |v, name| v.set(name, 0.0));
+        let mut row = Value::object()
+            .set("path", "decide")
+            .set("invocations", 1u64)
+            .set("total", 0.0)
+            .set("components", components);
         assert!(profile_span_from_json(&row).is_some());
         row = row.set("components", Value::object().set("compute", 1.0));
         assert!(profile_span_from_json(&row).is_none());
@@ -996,29 +979,6 @@ mod tests {
                 let cost = CostModel::default();
                 let merged = a + b;
                 prop_assert_eq!(cost.components(&merged).total(), cost.cycles(&merged));
-            }
-
-            #[test]
-            fn profile_spans_round_trip_through_json(
-                t in tally_strategy(),
-                segs in proptest::collection::vec(0usize..4, 1..4),
-                invocations in 0u64..1_000_000,
-            ) {
-                let names = ["decide", "hash", "contract", "sync"];
-                let path = segs
-                    .iter()
-                    .map(|&i| names[i])
-                    .collect::<Vec<_>>()
-                    .join("/");
-                let span = ProfileSpan {
-                    path,
-                    invocations,
-                    total: CostModel::default().components(&t).total(),
-                    components: CostModel::default().components(&t),
-                };
-                let rendered = profile_span_to_json(&span).render();
-                let back = profile_span_from_json(&parse(&rendered).unwrap()).unwrap();
-                prop_assert_eq!(back, span);
             }
         }
     }
